@@ -83,6 +83,16 @@ pub trait InterleaveStrategy: Send + Sync {
         let _ = (ctx, attempt);
     }
 
+    /// Called from [`PmView::spin_yield`](crate::PmView::spin_yield): the
+    /// thread is in a spin-wait loop (typically on a lock) and cannot make
+    /// progress until another thread stores. A scheduler may treat it as
+    /// blocked until the thread's next completed store (`after_store`) or
+    /// its `thread_done`. Called on every spin iteration, so it must be
+    /// cheap when nothing changes.
+    fn on_spin(&self, tid: ThreadId) {
+        let _ = tid;
+    }
+
     /// Called when a driver thread finished its operation sequence.
     /// Schedulers use this to track how many threads are still live (the
     /// "all threads block" detection of Fig. 6 is over live threads).
@@ -129,6 +139,7 @@ mod tests {
         s.before_store(&ctx);
         s.after_store(&ctx);
         s.on_cas_fail(&ctx, 1);
+        s.on_spin(ThreadId(0));
         s.campaign_end();
         assert!(format!("{ctx:?}").contains("off"));
     }

@@ -68,19 +68,24 @@ const SPIN_PARK_AFTER: u32 = 128;
 
 /// Nominal parked-sleep quantum (the OS rounds it up by timer slack, so
 /// the realized quantum is somewhat longer on a default Linux config).
-/// Sized so a spinner parked across the scheduler's 2 ms writer stall
-/// makes ~17 sleep syscalls rather than 50: each `nanosleep` costs a few
-/// µs of kernel time, and under the fleet that overhead was a measurable
-/// slice of per-campaign CPU. The coarser wakeup adds at most one quantum
-/// of latency after the stalled writer finally stores, which is noise next
-/// to the 2 ms stall itself.
+/// A spinner reports itself through the strategy's `on_spin` hook, which
+/// ends a scheduler writer stall early, so long parks are left to waits
+/// nothing else can shorten: a lock holder parked at a sync point until
+/// the scheduler drafts it (~1 ms draft budget), a long critical section,
+/// or a leaked lock until the livelock latch fires (a few ms). At this
+/// quantum such a wait costs a few sleep syscalls per millisecond rather
+/// than ~25 at 40 µs: each `nanosleep` costs a few µs of kernel time, and
+/// under the fleet that overhead was a measurable slice of per-campaign
+/// CPU. The coarser wakeup adds at most one quantum of latency after the
+/// holder releases the lock.
 const SPIN_PARK_QUANTUM: std::time::Duration = std::time::Duration::from_micros(120);
 
 /// Livelock-streak credit per parked sleep: one park covers roughly this
 /// many yield-loop iterations of frozen wall-clock time, so the hang latch
 /// fires on about the same schedule whether the spinner yields or parks
 /// (`livelock_spins` keeps one meaning: frozen spin-iterations until the
-/// session is declared hung).
+/// session is declared hung). With the default `livelock_spins` the latch
+/// fires after ~20 parks, a few ms of frozen session.
 const SPIN_PARK_CREDIT: u32 = 192;
 
 impl PmView {
@@ -147,8 +152,8 @@ impl PmView {
             .check_sampled(n & (Session::CHECK_STRIDE - 1) == 0)
     }
 
-    /// Cooperative spin-wait step: deadline check, livelock detection,
-    /// thread yield.
+    /// Cooperative spin-wait step: deadline check, strategy `on_spin`
+    /// notification, livelock detection, thread yield.
     ///
     /// Besides the sampled deadline check this watches the session's
     /// mutation counter: when `livelock_spins` consecutive yields observe no
@@ -168,6 +173,10 @@ impl PmView {
     /// [`RtError::Timeout`] or [`RtError::Halted`].
     pub fn spin_yield(&self) -> Result<(), RtError> {
         self.check()?;
+        if !self.session.strategy_passive() {
+            let mut buf = self.buf.borrow_mut();
+            self.cached_strategy(&mut buf).on_spin(self.tid);
+        }
         let limit = self.session.config().livelock_spins;
         if limit != 0 {
             let p = self.session.progress();

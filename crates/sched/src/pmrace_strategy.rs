@@ -6,7 +6,7 @@
 //! into reading non-persisted data.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,9 +33,11 @@ use crate::{QueueEntry, SkipStore};
 pub struct SyncTuning {
     /// Budget unit of `cond_wait` (the paper's `usleep(100)` interval).
     pub reader_poll: Duration,
-    /// How long the writer stalls after `cond_signal` (the paper's
+    /// Cap on the writer's stall after `cond_signal` (the paper's
     /// `writerWaiting`, set to the typical total execution time of the
-    /// original program).
+    /// original program). The stall ends earlier once every other live
+    /// thread is spinning or finished — no thread is left that could read
+    /// the unflushed value — or when the campaign is cancelled.
     pub writer_wait: Duration,
     /// `reader_poll` units after which, if *all* live worker threads are
     /// blocked, a privileged thread is drafted (pitfall 2).
@@ -143,6 +145,13 @@ pub struct PmraceStrategy {
     skip_store: Arc<SkipStore>,
     /// Condition, enable flag, privilege, and blocked-set, event-driven.
     hub: WaitHub,
+    /// Per-thread "spinning" flags, indexed by thread id: set by
+    /// `on_spin`, cleared by the thread's next completed store, its next
+    /// park in `cond_wait`, or its `thread_done`. A spinning thread waits
+    /// on another thread's store, so the stall and draft checks count it
+    /// as blocked. Atomics outside the hub lock because `on_spin` fires on
+    /// every spin iteration; a set takes the hub lock once to wake waiters.
+    spinning: Vec<AtomicBool>,
     /// Remaining skips per load site this campaign (pitfall 3).
     skips: Mutex<HashMap<u32, u32>>,
     /// The skips the campaign *started* with (learned + realized jitter),
@@ -245,6 +254,7 @@ impl PmraceStrategy {
                 }),
                 cv: Condvar::new(),
             },
+            spinning: (0..num_threads).map(|_| AtomicBool::new(false)).collect(),
             skips: Mutex::new(skips),
             initial_skips,
             cas_engaged: Mutex::new(HashMap::new()),
@@ -299,6 +309,40 @@ impl PmraceStrategy {
         telemetry::add(telemetry::Counter::PlanPrivilegedDrafts, 1);
     }
 
+    /// Runs on every completed store, so it reads before writing: the
+    /// flags share a cache line and are rarely set.
+    fn clear_spinning(&self, tid: ThreadId) {
+        if let Some(flag) = self.spinning.get(tid.0 as usize) {
+            if flag.load(Ordering::Relaxed) {
+                flag.store(false, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn is_spinning(&self, tid: ThreadId) -> bool {
+        self.spinning
+            .get(tid.0 as usize)
+            .is_some_and(|f| f.load(Ordering::Relaxed))
+    }
+
+    /// Spinning threads not parked in `cond_wait`, other than `except`.
+    fn spinners_outside(&self, st: &HubState, except: Option<ThreadId>) -> usize {
+        (0..self.spinning.len())
+            .map(|t| ThreadId(t as u32))
+            .filter(|&t| Some(t) != except && self.is_spinning(t) && !st.blocked.contains(&t))
+            .count()
+    }
+
+    /// Pitfall 2's draft condition: every live thread waits on another
+    /// (parked in `cond_wait` or spinning) and no privileged thread can
+    /// break the cycle. A privileged thread that spins is waiting on a
+    /// parked one (typically for a lock it holds), so it is replaced.
+    fn needs_draft(&self, st: &HubState) -> bool {
+        st.privileged.is_none_or(|p| self.is_spinning(p))
+            && !st.blocked.is_empty()
+            && st.blocked.len() + self.spinners_outside(st, None) >= st.active.max(1)
+    }
+
     fn matches_addr(&self, off: u64) -> bool {
         off / 8 == self.plan.off / 8
     }
@@ -330,6 +374,10 @@ impl PmraceStrategy {
         let draft_after = self.tuning.reader_poll * self.tuning.all_block_iters;
         let disable_after = self.tuning.reader_poll * self.tuning.disable_iters;
         let mut st = self.hub.state.lock();
+        // A parked thread counts through `blocked`; a spin that led here
+        // has ended (a lock taken without a store, e.g. `try_lock`), and
+        // `on_spin` sets the flag again if the thread resumes spinning.
+        self.clear_spinning(ctx.tid);
         st.blocked.push(ctx.tid);
         loop {
             if st.signalled || !st.enabled || st.privileged == Some(ctx.tid) {
@@ -349,10 +397,7 @@ impl PmraceStrategy {
                 self.hub.cv.notify_all();
                 break;
             }
-            if waited >= draft_after
-                && st.privileged.is_none()
-                && st.blocked.len() >= st.active.max(1)
-            {
+            if waited >= draft_after && self.needs_draft(&st) {
                 // All live threads block: draft a privileged thread
                 // (lines 13–16); the loop condition releases it on the next
                 // turn, and `notify_all` wakes it if it is parked.
@@ -376,24 +421,40 @@ impl PmraceStrategy {
     }
 
     /// `cond_signal` (Fig. 6 lines 26–30).
-    fn cond_signal(&self, _ctx: &AccessCtx<'_>) {
-        let first = {
-            let mut st = self.hub.state.lock();
-            if !st.enabled {
-                return;
+    fn cond_signal(&self, ctx: &AccessCtx<'_>) {
+        let mut st = self.hub.state.lock();
+        if !st.enabled || st.signalled {
+            return;
+        }
+        st.signalled = true;
+        self.hub.cv.notify_all();
+        self.signals.fetch_add(1, Ordering::Relaxed);
+        telemetry::add(telemetry::Counter::PlanAlternationsFired, 1);
+        // Stall the writer so readers run their sync-point loads before
+        // this store is flushed, for at most `writer_wait`. Once every
+        // other live thread is spinning or finished, nobody is left to read
+        // the value and the stall ends. Readers still parked in `cond_wait`
+        // are about to wake, so they do not count as stuck. The condvar
+        // wait releases the hub lock the woken readers need.
+        let start = Instant::now();
+        let released = loop {
+            if self.spinners_outside(&st, Some(ctx.tid)) + 1 >= st.active {
+                break true;
             }
-            let first = !st.signalled;
-            st.signalled = true;
-            first
+            let waited = start.elapsed();
+            if waited >= self.tuning.writer_wait || (ctx.cancelled)() {
+                break false;
+            }
+            let slice = (self.tuning.writer_wait - waited).min(CANCEL_POLL);
+            self.hub.cv.wait_for(&mut st, slice);
         };
-        if first {
-            self.hub.cv.notify_all();
-            self.signals.fetch_add(1, Ordering::Relaxed);
-            telemetry::add(telemetry::Counter::PlanAlternationsFired, 1);
-            // Stall the writer so readers run their sync-point loads before
-            // this store is flushed (the stall happens outside the hub lock:
-            // the woken readers need it to leave `cond_wait`).
-            std::thread::sleep(self.tuning.writer_wait);
+        drop(st);
+        telemetry::metrics::record_duration(
+            telemetry::Histogram::SchedWriterStallNs,
+            start.elapsed(),
+        );
+        if released {
+            telemetry::add(telemetry::Counter::PlanStallReleased, 1);
         }
     }
 }
@@ -410,6 +471,9 @@ impl InterleaveStrategy for PmraceStrategy {
     }
 
     fn after_store(&self, ctx: &AccessCtx<'_>) {
+        // A completed store (a successful CAS included) ends a spin; a
+        // CAS *attempt* does not, so `before_store` leaves the flag alone.
+        self.clear_spinning(ctx.tid);
         if self.matches_addr(ctx.off) && self.plan.store_sites.contains(&ctx.site.id()) {
             self.cond_signal(ctx);
         }
@@ -439,19 +503,34 @@ impl InterleaveStrategy for PmraceStrategy {
         self.cond_wait(ctx);
     }
 
+    fn on_spin(&self, tid: ThreadId) {
+        let Some(flag) = self.spinning.get(tid.0 as usize) else {
+            return;
+        };
+        if flag.load(Ordering::Relaxed) {
+            return;
+        }
+        flag.store(true, Ordering::Relaxed);
+        // Taking the hub lock orders the flag before any waiter's next
+        // check: a stalled writer or a reader past its draft budget
+        // re-evaluates now instead of at its next timeout.
+        let _st = self.hub.state.lock();
+        self.hub.cv.notify_all();
+    }
+
     fn thread_done(&self, tid: ThreadId) {
         let mut st = self.hub.state.lock();
+        self.clear_spinning(tid);
         st.active = st.active.saturating_sub(1);
         // A finished privileged thread frees the slot.
         if st.privileged == Some(tid) {
             st.privileged = None;
         }
-        // If every remaining live thread is already parked, nobody is left
-        // to signal: draft a replacement *now*, chaining execution until
-        // some thread reaches the signalling store, instead of letting the
-        // parked readers burn their whole disable budget.
-        if st.privileged.is_none() && !st.blocked.is_empty() && st.blocked.len() >= st.active.max(1)
-        {
+        // If every remaining live thread is already parked or spinning,
+        // nobody is left to signal: draft a replacement *now*, chaining
+        // execution until some thread reaches the signalling store, instead
+        // of letting the parked readers burn their whole disable budget.
+        if self.needs_draft(&st) {
             self.draft_privileged(&mut st);
         }
         self.hub.cv.notify_all();
@@ -730,5 +809,162 @@ mod tests {
         strat.on_cas_fail(&ctx(128, c, 1, &cancelled), 1);
         strat.on_cas_fail(&ctx(64, s, 1, &cancelled), 1);
         assert_eq!(strat.waits_entered(), CAS_ENGAGE_CAP as usize);
+    }
+
+    /// Two-thread strategy whose sync point only a long wait can disable,
+    /// so the tests below see stalls and drafts, never the disable path.
+    fn stall_strategy(writer_wait: Duration) -> (Arc<PmraceStrategy>, Site, Site) {
+        let (l, s) = (site!("stall-load"), site!("stall-store"));
+        let tuning = SyncTuning {
+            writer_wait,
+            disable_iters: 100_000,
+            ..fast_tuning()
+        };
+        let strat =
+            PmraceStrategy::new(plan_for(64, l, s), 2, Arc::new(SkipStore::new()), tuning, 7);
+        (Arc::new(strat), l, s)
+    }
+
+    /// Run thread 0's signalling store and return how long it stalled.
+    fn timed_signal(strat: &PmraceStrategy, s: Site) -> Duration {
+        let cancelled = || false;
+        let start = Instant::now();
+        strat.after_store(&ctx(64, s, 0, &cancelled));
+        start.elapsed()
+    }
+
+    fn wait_until_parked(strat: &PmraceStrategy) {
+        while strat.hub.state.lock().blocked.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn writer_stall_ends_once_the_other_thread_spins() {
+        let (strat, _, s) = stall_strategy(Duration::from_secs(10));
+        let other = Arc::clone(&strat);
+        let spinner = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            other.on_spin(ThreadId(1));
+        });
+        let stalled = timed_signal(&strat, s);
+        spinner.join().unwrap();
+        assert!(
+            stalled < Duration::from_secs(5),
+            "stall ran on: {stalled:?}"
+        );
+    }
+
+    #[test]
+    fn writer_stall_ends_once_the_other_thread_finishes() {
+        let (strat, _, s) = stall_strategy(Duration::from_secs(10));
+        let other = Arc::clone(&strat);
+        let finisher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            other.thread_done(ThreadId(1));
+        });
+        let stalled = timed_signal(&strat, s);
+        finisher.join().unwrap();
+        assert!(
+            stalled < Duration::from_secs(5),
+            "stall ran on: {stalled:?}"
+        );
+    }
+
+    #[test]
+    fn writer_stall_lasts_the_cap_while_another_thread_runs() {
+        let cap = Duration::from_millis(20);
+        let (strat, _, s) = stall_strategy(cap);
+        let stalled = timed_signal(&strat, s);
+        assert!(stalled >= cap, "stall ended early: {stalled:?}");
+    }
+
+    #[test]
+    fn completed_store_ends_a_spin_but_a_cas_attempt_does_not() {
+        let cancelled = || false;
+        let other = site!("stall-other-store");
+        // A CAS attempt (`before_store`) leaves thread 1 spinning.
+        let (strat, _, s) = stall_strategy(Duration::from_secs(10));
+        strat.on_spin(ThreadId(1));
+        strat.before_store(&ctx(256, other, 1, &cancelled));
+        let stalled = timed_signal(&strat, s);
+        assert!(
+            stalled < Duration::from_secs(5),
+            "stall ran on: {stalled:?}"
+        );
+        // A completed store clears the flag: the stall runs to its cap.
+        let cap = Duration::from_millis(20);
+        let (strat, _, s) = stall_strategy(cap);
+        strat.on_spin(ThreadId(1));
+        strat.after_store(&ctx(256, other, 1, &cancelled));
+        let stalled = timed_signal(&strat, s);
+        assert!(stalled >= cap, "stall ended early: {stalled:?}");
+    }
+
+    #[test]
+    fn reader_parked_at_signal_time_does_not_end_the_stall() {
+        let cap = Duration::from_millis(20);
+        let (strat, l, s) = stall_strategy(cap);
+        let other = Arc::clone(&strat);
+        let reader = std::thread::spawn(move || {
+            let cancelled = || false;
+            other.before_load(&ctx(64, l, 1, &cancelled));
+        });
+        wait_until_parked(&strat);
+        // The reader is listed in `blocked` but about to wake and read the
+        // unflushed value: the writer must keep stalling.
+        let stalled = timed_signal(&strat, s);
+        reader.join().unwrap();
+        assert!(stalled >= cap, "stall ended early: {stalled:?}");
+        assert!(strat.sync_point_enabled());
+    }
+
+    #[test]
+    fn spinning_thread_counts_as_blocked_for_the_draft() {
+        let (strat, l, _) = stall_strategy(Duration::from_secs(10));
+        let other = Arc::clone(&strat);
+        let reader = std::thread::spawn(move || {
+            let cancelled = || false;
+            let start = Instant::now();
+            other.before_load(&ctx(64, l, 1, &cancelled));
+            start.elapsed()
+        });
+        wait_until_parked(&strat);
+        // Thread 0 spins (e.g. on a lock the parked reader holds): every
+        // live thread waits, so the reader is drafted instead of waiting
+        // out the disable budget.
+        strat.on_spin(ThreadId(0));
+        let waited = reader.join().unwrap();
+        assert!(waited < Duration::from_secs(5), "reader stuck: {waited:?}");
+        assert!(strat.sync_point_enabled(), "drafted, not disabled");
+    }
+
+    #[test]
+    fn spinning_privileged_thread_is_replaced() {
+        let (strat, l, _) = stall_strategy(Duration::from_secs(10));
+        let park = |tid: u32| {
+            let other = Arc::clone(&strat);
+            std::thread::spawn(move || {
+                let cancelled = || false;
+                let start = Instant::now();
+                other.before_load(&ctx(64, l, tid, &cancelled));
+                start.elapsed()
+            })
+        };
+        // Thread 1 parks and is drafted once thread 0 spins.
+        let first = park(1);
+        wait_until_parked(&strat);
+        strat.on_spin(ThreadId(0));
+        assert!(first.join().unwrap() < Duration::from_secs(5));
+        // The privileged thread 1 now spins on something thread 0 holds
+        // while thread 0 parks: thread 0 must be drafted in its place.
+        strat.on_spin(ThreadId(1));
+        let second = park(0);
+        let waited = second.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(5),
+            "thread 0 stuck: {waited:?}"
+        );
+        assert!(strat.sync_point_enabled(), "drafted, not disabled");
     }
 }

@@ -144,6 +144,10 @@ impl InterleaveStrategy for RecordingStrategy {
         self.inner.on_cas_fail(ctx, attempt);
     }
 
+    fn on_spin(&self, tid: ThreadId) {
+        self.inner.on_spin(tid);
+    }
+
     fn thread_done(&self, tid: ThreadId) {
         self.inner.thread_done(tid);
     }

@@ -29,7 +29,7 @@ pub mod proto;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use pmrace_pmem::PmAllocator;
 use pmrace_runtime::{site, PmView, RtError, Session, TBytes, TU64};
 
@@ -78,7 +78,8 @@ pub struct MemKv {
     /// Volatile hash index `key -> item offset` (rebuilt at restart).
     index: Mutex<HashMap<u64, u64>>,
     /// Global cache lock (memcached's coarse `cache_lock`); persistency
-    /// races cross it because flushes are deferred past unlock.
+    /// races cross it because flushes are deferred past unlock. Taken only
+    /// through [`MemKv::lock_cache`].
     cache_lock: Mutex<()>,
 }
 
@@ -300,6 +301,19 @@ impl MemKv {
         Ok(())
     }
 
+    /// Take `cache_lock` by `try_lock` + [`PmView::spin_yield`], like the
+    /// PM spin locks of the other targets: a waiter stays visible to the
+    /// scheduler as spinning and to the livelock latch, instead of
+    /// sleeping in the OS where neither can see it.
+    fn lock_cache(&self, view: &PmView) -> Result<MutexGuard<'_, ()>, RtError> {
+        loop {
+            if let Some(guard) = self.cache_lock.try_lock() {
+                return Ok(guard);
+            }
+            view.spin_yield()?;
+        }
+    }
+
     fn dir_append(&self, view: &PmView, off: u64) -> Result<(), RtError> {
         let n = view
             .load_u64(self.root + K_NITEMS, site!("memkv.dir.read_nitems"))?
@@ -318,7 +332,7 @@ impl MemKv {
     /// Propagates runtime errors.
     pub fn set(&self, view: &PmView, key: u64, value: u64) -> Result<OpResult, RtError> {
         view.branch(site!("memkv.set"));
-        let _guard = self.cache_lock.lock();
+        let _guard = self.lock_cache(view)?;
         let existing = self.index.lock().get(&key).copied();
         if let Some(it) = existing {
             // Bug 13 shape: the value header is derived from the (possibly
@@ -374,7 +388,7 @@ impl MemKv {
     /// Propagates runtime errors.
     pub fn get(&self, view: &PmView, key: u64) -> Result<OpResult, RtError> {
         view.branch(site!("memkv.get"));
-        let _guard = self.cache_lock.lock();
+        let _guard = self.lock_cache(view)?;
         let Some(it) = self.index.lock().get(&key).copied() else {
             view.branch(site!("memkv.get.miss"));
             return Ok(OpResult::Missing);
@@ -426,7 +440,7 @@ impl MemKv {
         f: impl FnOnce(TU64) -> TU64,
     ) -> Result<OpResult, RtError> {
         view.branch(site!("memkv.rmw"));
-        let _guard = self.cache_lock.lock();
+        let _guard = self.lock_cache(view)?;
         let Some(it) = self.index.lock().get(&key).copied() else {
             return Ok(OpResult::Missing);
         };
@@ -506,7 +520,7 @@ impl MemKv {
     /// Propagates runtime errors.
     pub fn get_bytes(&self, view: &PmView, key: u64) -> Result<Option<TBytes>, RtError> {
         view.branch(site!("memkv.get_bytes"));
-        let _guard = self.cache_lock.lock();
+        let _guard = self.lock_cache(view)?;
         let Some(it) = self.index.lock().get(&key).copied() else {
             return Ok(None);
         };
@@ -528,7 +542,7 @@ impl MemKv {
     /// Propagates runtime errors.
     pub fn del(&self, view: &PmView, key: u64) -> Result<OpResult, RtError> {
         view.branch(site!("memkv.del"));
-        let _guard = self.cache_lock.lock();
+        let _guard = self.lock_cache(view)?;
         let Some(it) = self.index.lock().remove(&key) else {
             return Ok(OpResult::Missing);
         };

@@ -82,12 +82,19 @@ pub fn unescape(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8".to_owned())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the plain run up to the next quote or backslash in
+                // one step. Both are ASCII, so the run ends on a character
+                // boundary and only the run itself is validated (checking
+                // the rest of the document per character made a parse
+                // quadratic in the document size).
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| "invalid utf-8".to_owned())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -137,6 +144,15 @@ mod tests {
             let mut pos = 0;
             assert!(unescape(bad, &mut pos).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_literal_is_rejected() {
+        let mut pos = 0;
+        assert!(unescape(b"\"a\xff\"", &mut pos).is_err());
+        // Bytes after the literal are not the literal's business.
+        let mut pos = 0;
+        assert_eq!(unescape(b"\"ok\" \xff", &mut pos).unwrap(), "ok");
     }
 
     #[test]

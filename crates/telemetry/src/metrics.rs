@@ -61,6 +61,7 @@ metric_enum! {
     PlanSkipsConsumed => "plan.skips_consumed",
     PlanSyncDisabled => "plan.sync_disabled",
     PlanPrivilegedDrafts => "plan.privileged_drafts",
+    PlanStallReleased => "plan.stall_released",
     CheckerCandidatesInter => "checker.candidates_inter",
     CheckerCandidatesIntra => "checker.candidates_intra",
     CheckerInconsistencies => "checker.inconsistencies",
@@ -111,6 +112,7 @@ metric_enum! {
     RestoreDirtyLines => "restore.dirty_lines",
     CrashImageOverlayBytes => "crash_image.overlay_bytes",
     PipelineQueueNs => "pipeline.queue_ns",
+    SchedWriterStallNs => "sched.writer_stall_ns",
 }
 
 const N_COUNTERS: usize = Counter::ALL.len();

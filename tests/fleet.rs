@@ -6,13 +6,23 @@
 //! no RNG draws and a lone worker has no sibling stripes to import from).
 
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use pmrace::core::BugKind;
 use pmrace::{telemetry, FuzzConfig, Fuzzer, StrategyKind};
 
+/// The tests in this file run one at a time: a four-worker fleet keeps
+/// every CPU of a small host busy, and the single-worker determinism test
+/// beside it then runs its campaigns into their wall-clock deadline.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn four_worker_fleet_finds_the_paper_bugs_and_exchanges_seeds() {
+    let _serial = serial();
     pmrace::register_builtins();
     telemetry::set_enabled(true);
     let mut cfg = FuzzConfig::new("P-CLHT");
@@ -76,6 +86,7 @@ fn systematic_cfg(rng_seed: u64) -> FuzzConfig {
 
 #[test]
 fn single_worker_fleet_reproduces_identical_bug_triples_run_to_run() {
+    let _serial = serial();
     pmrace::register_builtins();
     let run = |seed: u64| {
         let report = Fuzzer::new(systematic_cfg(seed)).unwrap().run().unwrap();
