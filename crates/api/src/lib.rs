@@ -22,8 +22,6 @@
 //! - [`register_target`] / [`resolve_target`] / [`all_targets`] — the
 //!   thread-safe process-global registry the fuzzer, the replayer and the
 //!   CLI resolve target names through.
-//! - [`json`] — the shared JSON string-literal escape/unescape helper the
-//!   workspace's hand-rolled writers and parsers agree on.
 //!
 //! The built-in systems register themselves via
 //! `pmrace_targets::register_builtins()`; a plugin target just calls
@@ -100,16 +98,6 @@ pub use registry::{
     all_targets, ensure_registered, register_target, resolve_target, resolve_target_or_err,
     DuplicateTarget,
 };
-
-/// Shared JSON string-literal escaping and unescaping.
-///
-/// The workspace is fully offline (no serde); every hand-rolled JSON
-/// writer/parser (repro artifacts in `pmrace-replay`, telemetry snapshots
-/// in `pmrace-telemetry`) uses these two functions for string literals so
-/// the escape rules exist exactly once.
-pub mod json {
-    pub use pmrace_telemetry::jsonstr::{escape_into, unescape};
-}
 
 use std::sync::Arc;
 

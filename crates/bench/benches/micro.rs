@@ -205,13 +205,18 @@ fn bench_mutator(c: &mut Criterion) {
 
 fn bench_checkpoint_vs_init(c: &mut Criterion) {
     let spec = target_spec("P-CLHT").unwrap();
-    let cp = Checkpoint::create(&spec).unwrap();
+    let snap = Checkpoint::create(&spec).unwrap().acquire().snapshot();
+    let fresh_pool = || {
+        let pool = Pool::new(PoolOpts::with_size(snap.volatile().len()));
+        pool.restore(&snap).unwrap();
+        pool
+    };
     let mut g = c.benchmark_group("reset");
     g.sample_size(20);
-    g.bench_function("checkpoint_restore", |b| b.iter(|| black_box(cp.restore())));
-    let reused = cp.restore();
+    g.bench_function("checkpoint_restore", |b| b.iter(|| black_box(fresh_pool())));
+    let reused = fresh_pool();
     g.bench_function("checkpoint_restore_into", |b| {
-        b.iter(|| cp.restore_into(black_box(&reused)).unwrap())
+        b.iter(|| black_box(&reused).restore(&snap).unwrap())
     });
     g.bench_function("heavy_pool_init", |b| {
         b.iter(|| black_box(Pool::new(PoolOpts::small().heavy())))

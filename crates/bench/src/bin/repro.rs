@@ -404,7 +404,15 @@ fn main() {
                     std::process::exit(1);
                 }
             };
+            let baseline = match hotpath::cell_values_in_json(&text) {
+                Ok(rows) => rows,
+                Err(e) => {
+                    eprintln!("[repro] --check-against {committed}: {e}");
+                    std::process::exit(1);
+                }
+            };
             let missing: Vec<String> = hotpath::cell_names_in_json(&text)
+                .unwrap_or_default()
                 .into_iter()
                 .filter(|name| !cells.iter().any(|c| &c.name == name))
                 .collect();
@@ -430,7 +438,7 @@ fn main() {
                     }
                 };
                 let mut regressed = 0usize;
-                for (name, threads, lines, committed_ops) in hotpath::cell_values_in_json(&text) {
+                for (name, threads, lines, committed_ops) in baseline {
                     let Some(cell) = cells.iter().find(|c| {
                         c.name == name
                             && c.threads == threads

@@ -12,11 +12,12 @@ use std::time::{Duration, Instant};
 
 use pmrace_core::checkpoint::Checkpoint;
 use pmrace_core::validate::validate_sync;
-use pmrace_pmem::{Pool, PoolOpts, RestoreMode, SiteTag, ThreadId, CACHE_LINE};
+use pmrace_pmem::{Pool, PoolOpts, RestoreMode, SiteTag, ThreadId, CACHE_LINE, GRANULE};
 use pmrace_runtime::coverage::{CoverageMap, Persistency};
 use pmrace_runtime::report::SyncUpdateRecord;
 use pmrace_runtime::{site, Session, SessionConfig};
 use pmrace_targets::target_spec;
+use pmrace_telemetry::json::{self, Value};
 
 /// One measured cell of the hot-path matrix.
 #[derive(Debug, Clone)]
@@ -391,13 +392,24 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
         }
     }
 
-    // Checkpoint restore paths: fresh pool per campaign vs reuse.
+    // Checkpoint restore paths — the pmem operations `Checkpoint::acquire`
+    // is built from, on a snapshot of the checkpointed P-CLHT image: a
+    // fresh pool per campaign vs reuse.
     let spec = target_spec("P-CLHT").expect("known target");
-    let cp = Checkpoint::create(&spec).expect("checkpoint");
+    let snap = Checkpoint::create(&spec)
+        .expect("checkpoint")
+        .acquire()
+        .snapshot();
+    let fresh_pool = || {
+        let pool = Pool::new(PoolOpts::with_size(snap.volatile().len()));
+        pool.restore(&snap)
+            .expect("snapshot matches its own pool size");
+        pool
+    };
     let fresh_iters = 400 / scale;
     let start = Instant::now();
     for _ in 0..fresh_iters {
-        std::hint::black_box(cp.restore());
+        std::hint::black_box(fresh_pool());
     }
     cells.push(HotpathCell {
         name: "checkpoint_restore_fresh".to_owned(),
@@ -409,10 +421,10 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
 
     // In-place restore into an existing pool (the campaign-runner reuse
     // path): same image reset without the pool-sized allocation.
-    let pool = cp.restore();
+    let pool = fresh_pool();
     let start = Instant::now();
     for _ in 0..fresh_iters {
-        cp.restore_into(&pool).expect("restore_into");
+        pool.restore(&snap).expect("restore into");
     }
     cells.push(HotpathCell {
         name: "checkpoint_restore_into".to_owned(),
@@ -425,7 +437,8 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
     // Delta restore on a sparse campaign: each iteration dirties 48
     // scattered granules (well under 5% of the pool) and resets them in
     // O(dirty) — the outer-loop fast path.
-    let pool = cp.restore();
+    let pool = fresh_pool();
+    let max_dirty = snap.volatile().len() / GRANULE / 4;
     let delta_iters = 4_000 / scale;
     let line_count = pool.size() as u64 / CACHE_LINE as u64;
     let start = Instant::now();
@@ -434,7 +447,7 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
             let off = ((i * 131 + k * 31) % line_count) * CACHE_LINE as u64;
             pool.store_u64(off, k, ThreadId(0), SiteTag(2)).unwrap();
         }
-        let mode = cp.restore_delta(&pool).expect("restore_delta");
+        let mode = pool.restore_delta(&snap, max_dirty).expect("restore_delta");
         assert!(
             matches!(mode, RestoreMode::Delta { .. }),
             "sparse workload stays under the delta threshold, got {mode:?}"
@@ -450,7 +463,7 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
 
     // Copy-on-write crash-image capture over the same sparse dirty set
     // (the §4.4 capture path, per inconsistency candidate).
-    let pool = cp.restore();
+    let pool = fresh_pool();
     for k in 0..48u64 {
         pool.store_u64(k * 10 * CACHE_LINE as u64, k, ThreadId(0), SiteTag(3))
             .unwrap();
@@ -474,7 +487,7 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
     // dominate the quick-mode cell (10k iterations) while vanishing in
     // the full cell (200k), making the two incomparable and the CI
     // tolerance band meaningless for this cell.
-    let vpool = cp.restore();
+    let vpool = fresh_pool();
     let image = std::sync::Arc::new(vpool.crash_image().expect("crash image"));
     let rec = SyncUpdateRecord {
         var_name: "bench.lock".to_owned(),
@@ -503,51 +516,60 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
     cells
 }
 
-/// Extracts the distinct cell names from a `BENCH_hotpath.json` document
-/// (the counterpart of [`to_json`]; `repro hotpath --check-against` uses it
-/// to catch schema drift between the committed file and the bench code).
-#[must_use]
-pub fn cell_names_in_json(text: &str) -> Vec<String> {
+/// The distinct cell names of a `BENCH_hotpath.json` document, in order
+/// of first appearance (`repro hotpath --check-against` uses them to catch
+/// schema drift between the committed file and the bench code).
+///
+/// # Errors
+///
+/// As [`cell_values_in_json`].
+pub fn cell_names_in_json(text: &str) -> Result<Vec<String>, String> {
     let mut names: Vec<String> = Vec::new();
-    for part in text.split("\"name\": \"").skip(1) {
-        if let Some(end) = part.find('"') {
-            let name = &part[..end];
-            if !names.iter().any(|n| n == name) {
-                names.push(name.to_owned());
-            }
+    for (name, ..) in cell_values_in_json(text)? {
+        if !names.contains(&name) {
+            names.push(name);
         }
     }
-    names
+    Ok(names)
 }
 
-/// Extracts `(name, threads, lines, ops_per_sec)` rows from a
-/// `BENCH_hotpath.json` document — the committed baseline values
-/// `repro hotpath --check-against --tolerance` compares a fresh run against.
-#[must_use]
-pub fn cell_values_in_json(text: &str) -> Vec<(String, usize, String, f64)> {
-    fn field<'t>(cell: &'t str, key: &str) -> Option<&'t str> {
-        let at = cell.find(key)? + key.len();
-        Some(cell[at..].trim_start())
-    }
-    let mut rows = Vec::new();
-    for part in text.split("{\"name\": \"").skip(1) {
-        let Some(end) = part.find('}') else { continue };
-        let cell = &part[..end];
-        let Some(name_end) = cell.find('"') else {
-            continue;
-        };
-        let name = cell[..name_end].to_owned();
-        let threads = field(cell, "\"threads\":")
-            .and_then(|rest| rest.split(',').next()?.trim().parse::<usize>().ok());
-        let lines = field(cell, "\"lines\": \"")
-            .and_then(|rest| rest.find('"').map(|q| rest[..q].to_owned()));
-        let ops = field(cell, "\"ops_per_sec\":")
-            .and_then(|rest| rest.split([',', '}']).next()?.trim().parse::<f64>().ok());
-        if let (Some(threads), Some(lines), Some(ops)) = (threads, lines, ops) {
-            rows.push((name, threads, lines, ops));
-        }
-    }
-    rows
+/// `(name, threads, lines, ops_per_sec)` of every cell of a
+/// `BENCH_hotpath.json` document (the counterpart of [`to_json`]) — the
+/// committed baseline values `repro hotpath --check-against --tolerance`
+/// compares a fresh run against.
+///
+/// # Errors
+///
+/// The document is not valid JSON, has no `cells` array, or a cell lacks
+/// one of the four fields (a cell that cannot be read must not go
+/// unchecked).
+pub fn cell_values_in_json(text: &str) -> Result<Vec<(String, usize, String, f64)>, String> {
+    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let cells = doc
+        .get("cells")
+        .and_then(Value::as_arr)
+        .ok_or("no \"cells\" array")?;
+    cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let bad = |key: &str| format!("cell {i} lacks a valid \"{key}\"");
+            let text = |key: &str| {
+                cell.get(key)
+                    .and_then(Value::as_str)
+                    .map(str::to_owned)
+                    .ok_or_else(|| bad(key))
+            };
+            let threads = cell.get("threads").and_then(Value::as_u64);
+            let ops = cell.get("ops_per_sec").and_then(Value::as_f64);
+            Ok((
+                text("name")?,
+                threads.ok_or_else(|| bad("threads"))? as usize,
+                text("lines")?,
+                ops.ok_or_else(|| bad("ops_per_sec"))?,
+            ))
+        })
+        .collect()
 }
 
 /// Aggregate `fleet_execs` scaling ratio between two worker counts in a
@@ -557,7 +579,7 @@ pub fn cell_values_in_json(text: &str) -> Vec<(String, usize, String, f64)> {
 /// a regenerated trajectory that lost its fleet scaling cannot land.
 #[must_use]
 pub fn fleet_scaling_in_json(text: &str, hi: usize, lo: usize) -> Option<f64> {
-    let rows = cell_values_in_json(text);
+    let rows = cell_values_in_json(text).ok()?;
     let cell = |threads: usize| {
         rows.iter()
             .find(|(name, t, _, _)| name == "fleet_execs" && *t == threads)
@@ -635,7 +657,7 @@ mod tests {
         assert!(render(&cells).contains("record_access"));
         // The outer-loop cells ride along and round-trip through the JSON
         // name extractor the CI schema guard relies on.
-        let names = cell_names_in_json(&json);
+        let names = cell_names_in_json(&json).unwrap();
         for required in [
             "instr_store_batched",
             "instr_store_flush_each",
@@ -690,14 +712,24 @@ mod tests {
                 elapsed: Duration::from_millis(50),
             },
         ];
-        let rows = cell_values_in_json(&to_json(&cells));
+        let json = to_json(&cells);
+        let rows = cell_values_in_json(&json).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "x_op");
         assert_eq!(rows[0].1, 4);
         assert_eq!(rows[0].2, "overlapping");
         assert!((rows[0].3 - 10_000.0).abs() < 1.0);
         assert_eq!(rows[1].2, "disjoint");
-        assert!(cell_values_in_json("{}").is_empty());
+        // A baseline that cannot be read is an error, never an empty (and
+        // so unchecked) set of cells.
+        for broken in ["{}", "not json", &json[..json.len() / 2]] {
+            assert!(cell_values_in_json(broken).is_err(), "{broken:?}");
+        }
+        for field in ["name", "threads", "lines", "ops_per_sec"] {
+            let dropped = json.replacen(&format!("\"{field}\": "), "\"gone\": ", 1);
+            let err = cell_values_in_json(&dropped).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]
@@ -727,7 +759,10 @@ mod tests {
             elapsed: Duration::from_millis(5),
         };
         let cells = vec![cell("a_op", 1), cell("a_op", 4), cell("b_op", 1)];
-        assert_eq!(cell_names_in_json(&to_json(&cells)), ["a_op", "b_op"]);
-        assert!(cell_names_in_json("{}").is_empty());
+        assert_eq!(
+            cell_names_in_json(&to_json(&cells)).unwrap(),
+            ["a_op", "b_op"]
+        );
+        assert!(cell_names_in_json("{}").is_err());
     }
 }

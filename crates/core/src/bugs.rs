@@ -248,8 +248,10 @@ impl Ledger {
         elapsed: Duration,
         seed: Option<&crate::Seed>,
     ) -> IngestDelta {
-        let plan = self.begin_ingest(result, elapsed);
-        self.finish_ingest(plan, result, seed)
+        match self.begin_ingest(result, elapsed) {
+            Some(plan) => self.finish_ingest(plan, result, seed),
+            None => IngestDelta::default(),
+        }
     }
 
     /// Phase 1 of ingestion: dedupe the campaign's findings against the
@@ -258,7 +260,18 @@ impl Ledger {
     /// the lock guarding the ledger. Reserving dedup-index slots here means
     /// a concurrent worker holding an identical detection will not validate
     /// it a second time.
-    pub fn begin_ingest(&mut self, result: &CampaignResult, elapsed: Duration) -> IngestPlan {
+    ///
+    /// Returns `None` when the campaign carries nothing new: no new
+    /// candidate, inconsistency or sync signature, no new perf
+    /// `(checker, site)` key and no first hang — the common case once a
+    /// run has warmed up. The campaign, hang and annotation tallies are
+    /// then already updated, and the caller skips validation and
+    /// [`Ledger::finish_ingest`], which would add nothing.
+    pub fn begin_ingest(
+        &mut self,
+        result: &CampaignResult,
+        elapsed: Duration,
+    ) -> Option<IngestPlan> {
         let mut plan = IngestPlan {
             spec: self.spec,
             elapsed,
@@ -308,7 +321,23 @@ impl Ledger {
             self.stats.sync += 1;
             plan.syncs.push(i);
         }
-        plan
+
+        let findings = &result.findings;
+        let nothing_new = plan.new_candidates.is_empty()
+            && plan.incons.is_empty()
+            && plan.syncs.is_empty()
+            && (self.hang_seen || !findings.hang)
+            && findings.perf_issues.iter().all(|issue| {
+                let key = (issue.checker.to_owned(), site_label(issue.site).to_owned());
+                self.perf_index.contains(&key)
+            });
+        if nothing_new {
+            if findings.hang {
+                self.stats.hangs += 1;
+            }
+            return None;
+        }
+        Some(plan)
     }
 
     /// Phase 3 of ingestion: apply the plan's verdicts (in input order, so
@@ -463,18 +492,6 @@ impl Ledger {
             }
         }
         delta
-    }
-
-    /// Fold in campaigns that a concurrent front
-    /// ([`SharedLedger`](crate::fleet::SharedLedger)) absorbed without
-    /// routing them through `begin_ingest`: campaigns whose findings were
-    /// all already-known signatures. Their only ledger-visible effects are
-    /// the campaign/hang tallies and the annotation high-water mark, which
-    /// this applies in one shot at fleet shutdown.
-    pub fn absorb_fast_path(&mut self, campaigns: usize, hangs: usize, annotations: usize) {
-        self.stats.campaigns += campaigns;
-        self.stats.hangs += hangs;
-        self.stats.annotations = self.stats.annotations.max(annotations);
     }
 
     /// Accumulated statistics.

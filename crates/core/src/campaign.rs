@@ -195,9 +195,9 @@ pub fn run_campaign(
 ) -> Result<CampaignResult, RtError> {
     let start = Instant::now();
     let pool = match checkpoint {
-        // `restore_cached` recycles the pool the previous campaign retired
+        // `acquire` recycles the pool the previous campaign retired
         // (in-place reset instead of a pool-sized allocation).
-        Some(cp) if !cfg.eadr => cp.restore_cached(),
+        Some(cp) if !cfg.eadr => cp.acquire(),
         _ => {
             let mut opts = (spec.pool)();
             if cfg.eadr {
@@ -221,7 +221,7 @@ pub fn run_campaign(
         },
     );
     // Pool acquisition (checkpoint restore) is traced separately inside
-    // `Checkpoint::restore_cached`; the execution span covers target
+    // `Checkpoint::acquire`; the execution span covers target
     // init/recovery plus the driver threads.
     let _span = telemetry::span(telemetry::Phase::Execution);
     let target = if checkpoint.is_some() && !cfg.eadr {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pmrace_api::TargetSpec;
-use pmrace_pmem::{Pool, PoolOpts, PoolSnapshot, RestoreMode, GRANULE};
+use pmrace_pmem::{Pool, PoolOpts, PoolSnapshot, GRANULE};
 use pmrace_runtime::{RtError, Session, SessionConfig};
 use pmrace_telemetry as telemetry;
 
@@ -19,7 +19,7 @@ use pmrace_telemetry as telemetry;
 pub struct Checkpoint {
     snapshot: PoolSnapshot,
     /// Pool retired by the previous campaign, kept for allocation reuse:
-    /// [`Checkpoint::restore_cached`] overwrites it in place instead of
+    /// [`Checkpoint::acquire`] overwrites it in place instead of
     /// allocating a fresh multi-megabyte pool per campaign.
     cache: Mutex<Option<Arc<Pool>>>,
 }
@@ -49,68 +49,31 @@ impl Checkpoint {
         })
     }
 
-    /// Materialize a fresh pool from the checkpoint (cheap: one copy, no
-    /// heavy initialization).
+    /// A pool holding the checkpointed image, for one campaign.
+    ///
+    /// Recycles the pool the previous `acquire` handed out when nothing
+    /// else still references it (campaigns hand their pool back simply by
+    /// dropping the session): the pool is reset in place, copying back
+    /// only the granules the last campaign dirtied (O(dirty) instead of
+    /// O(pool size)), or the whole image once the dirty set exceeds a
+    /// quarter of the pool. A pool still held elsewhere is left alone and
+    /// a fresh one is materialized from the checkpoint instead.
     #[must_use]
-    pub fn restore(&self) -> Arc<Pool> {
+    pub fn acquire(&self) -> Arc<Pool> {
         let _span = telemetry::span(telemetry::Phase::CheckpointRestore);
         telemetry::add(telemetry::Counter::CheckpointRestores, 1);
+        let mut cache = self.cache.lock();
+        if let Some(pool) = cache.as_ref().filter(|p| Arc::strong_count(p) == 1) {
+            let max_dirty = self.snapshot.volatile().len() / GRANULE / 4;
+            pool.restore_delta(&self.snapshot, max_dirty)
+                .expect("cached pool was materialized from this checkpoint");
+            telemetry::add(telemetry::Counter::CheckpointCacheHits, 1);
+            return Arc::clone(pool);
+        }
         let pool = Pool::new(PoolOpts::with_size(self.snapshot.volatile().len()));
         pool.restore(&self.snapshot)
             .expect("checkpoint snapshot matches its own pool size");
-        Arc::new(pool)
-    }
-
-    /// Reset an existing pool to the checkpointed image in place, reusing
-    /// its allocations (no pool-sized allocation, unlike
-    /// [`Checkpoint::restore`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `pool` was not created with the checkpoint's pool size.
-    pub fn restore_into(&self, pool: &Pool) -> Result<(), RtError> {
-        pool.restore(&self.snapshot)?;
-        Ok(())
-    }
-
-    /// Reset an existing pool to the checkpointed image, copying back only
-    /// the granules the last campaign dirtied when `pool` was last restored
-    /// from this checkpoint (O(dirty) instead of O(pool size)); otherwise
-    /// equivalent to [`Checkpoint::restore_into`], to which it falls back
-    /// when the dirty set exceeds a quarter of the pool.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `pool` was not created with the checkpoint's pool size.
-    pub fn restore_delta(&self, pool: &Pool) -> Result<RestoreMode, RtError> {
-        let max_dirty = self.snapshot.volatile().len() / GRANULE / 4;
-        Ok(pool.restore_delta(&self.snapshot, max_dirty)?)
-    }
-
-    /// Restore from the checkpoint, recycling the pool retired by the
-    /// previous `restore_cached` call when nothing else still references it
-    /// (campaigns hand their pool back simply by dropping the session).
-    /// Falls back to [`Checkpoint::restore`] when the cached pool is still
-    /// in use elsewhere or its size does not match.
-    #[must_use]
-    pub fn restore_cached(&self) -> Arc<Pool> {
-        let mut cache = self.cache.lock();
-        if let Some(pool) = cache.take() {
-            let span = telemetry::span(telemetry::Phase::CheckpointRestore);
-            if Arc::strong_count(&pool) == 1
-                && pool.size() == self.snapshot.volatile().len()
-                && self.restore_delta(&pool).is_ok()
-            {
-                telemetry::add(telemetry::Counter::CheckpointRestores, 1);
-                telemetry::add(telemetry::Counter::CheckpointCacheHits, 1);
-                *cache = Some(Arc::clone(&pool));
-                return pool;
-            }
-            // The in-place path missed; the fallback `restore` opens its
-            // own span, so close this one without double-counting.
-            drop(span);
-        }
-        let pool = self.restore();
+        let pool = Arc::new(pool);
         *cache = Some(Arc::clone(&pool));
         pool
     }
@@ -122,12 +85,29 @@ mod tests {
     use pmrace_pmem::ThreadId;
     use pmrace_targets::{target_spec, Op, OpResult};
 
+    /// Run one insert against `pool` through the target's recovery path,
+    /// dirtying it the way a campaign would.
+    fn dirty(spec: &TargetSpec, pool: Arc<Pool>, key: u64) {
+        let session = Session::new(pool, SessionConfig::default());
+        let target = (spec.recover)(&session).unwrap();
+        let v = session.view(ThreadId(0));
+        target.exec(&v, &Op::Insert { key, value: 2 }).unwrap();
+    }
+
+    /// Both images of `pool`: volatile and persistent bytes.
+    fn images(pool: &Pool) -> (Vec<u8>, Vec<u8>) {
+        (
+            pool.snapshot().volatile().to_vec(),
+            pool.crash_image().unwrap().bytes().to_vec(),
+        )
+    }
+
     #[test]
     fn checkpoint_restores_a_working_target() {
         let spec = target_spec("P-CLHT").unwrap();
         let cp = Checkpoint::create(&spec).unwrap();
         for round in 0..3 {
-            let pool = cp.restore();
+            let pool = cp.acquire();
             let session = Session::new(pool, SessionConfig::default());
             let target = (spec.recover)(&session).unwrap();
             let v = session.view(ThreadId(0));
@@ -140,7 +120,7 @@ mod tests {
                 target.exec(&v, &Op::Get { key }).unwrap(),
                 OpResult::Found(round)
             );
-            // Each restore starts empty: prior rounds' keys are absent.
+            // Each acquire starts empty: prior rounds' keys are absent.
             if round > 0 {
                 assert_eq!(
                     target.exec(&v, &Op::Get { key: 10 }).unwrap(),
@@ -151,71 +131,40 @@ mod tests {
     }
 
     #[test]
-    fn restore_into_resets_a_dirtied_pool_in_place() {
-        let spec = target_spec("P-CLHT").unwrap();
-        let cp = Checkpoint::create(&spec).unwrap();
-        let pool = cp.restore();
-        let baseline = pool.crash_image().unwrap();
-        {
-            let session = Session::new(Arc::clone(&pool), SessionConfig::default());
-            let target = (spec.recover)(&session).unwrap();
-            let v = session.view(ThreadId(0));
-            target.exec(&v, &Op::Insert { key: 1, value: 2 }).unwrap();
-        }
-        assert_ne!(pool.crash_image().unwrap().bytes(), baseline.bytes());
-        cp.restore_into(&pool).unwrap();
-        assert_eq!(pool.crash_image().unwrap().bytes(), baseline.bytes());
-        // Wrong-sized pool is rejected, not clobbered.
-        let small = Pool::new(PoolOpts::with_size(4096));
-        assert!(cp.restore_into(&small).is_err());
-    }
-
-    #[test]
     fn restore_delta_resets_a_dirtied_pool_in_place() {
+        telemetry::set_enabled(true);
         let spec = target_spec("P-CLHT").unwrap();
         let cp = Checkpoint::create(&spec).unwrap();
-        let pool = cp.restore();
-        let baseline = pool.crash_image().unwrap();
+        let mut pool = cp.acquire();
+        let first = Arc::as_ptr(&pool);
+        let baseline = images(&pool);
         for round in 0..3 {
-            {
-                let session = Session::new(Arc::clone(&pool), SessionConfig::default());
-                let target = (spec.recover)(&session).unwrap();
-                let v = session.view(ThreadId(0));
-                target
-                    .exec(
-                        &v,
-                        &Op::Insert {
-                            key: round,
-                            value: 2,
-                        },
-                    )
-                    .unwrap();
-            }
-            assert_ne!(pool.crash_image().unwrap().bytes(), baseline.bytes());
-            let mode = cp.restore_delta(&pool).unwrap();
+            dirty(&spec, Arc::clone(&pool), round);
+            assert_ne!(images(&pool), baseline, "round {round}: pool dirtied");
+            let hits = telemetry::metrics::counter(telemetry::Counter::CheckpointCacheHits);
+            // Retire it: only the checkpoint's cached reference remains.
+            drop(pool);
+            pool = cp.acquire();
+            assert_eq!(Arc::as_ptr(&pool), first, "retired pool is recycled");
             assert!(
-                matches!(mode, RestoreMode::Delta { .. }),
-                "round {round}: restored-from-checkpoint pool takes the delta path, got {mode:?}"
+                telemetry::metrics::counter(telemetry::Counter::CheckpointCacheHits) > hits,
+                "round {round}: recycling counts as a cache hit"
             );
-            assert_eq!(pool.crash_image().unwrap().bytes(), baseline.bytes());
+            assert_eq!(images(&pool), baseline, "round {round}: reset in place");
         }
-        // A pool that never met this checkpoint falls back to a full copy.
-        let foreign = Pool::new(PoolOpts::with_size(pool.size()));
-        assert_eq!(cp.restore_delta(&foreign).unwrap(), RestoreMode::Full);
-        assert_eq!(foreign.crash_image().unwrap().bytes(), baseline.bytes());
     }
 
     #[test]
     fn restore_cached_recycles_the_retired_pool() {
         let spec = target_spec("P-CLHT").unwrap();
         let cp = Checkpoint::create(&spec).unwrap();
-        let first = cp.restore_cached();
+        let first = cp.acquire();
         let first_ptr = Arc::as_ptr(&first);
         drop(first); // retire it: only the cache's reference remains
-        let second = cp.restore_cached();
+        let second = cp.acquire();
         assert_eq!(Arc::as_ptr(&second), first_ptr, "retired pool is recycled");
         // While `second` is live the cache must hand out a different pool.
-        let third = cp.restore_cached();
+        let third = cp.acquire();
         assert_ne!(Arc::as_ptr(&third), Arc::as_ptr(&second));
         // Recycled pools behave like fresh restores.
         let session = Session::new(third, SessionConfig::default());
@@ -228,10 +177,23 @@ mod tests {
     }
 
     #[test]
+    fn acquire_while_the_pool_is_held_materializes_a_fresh_one() {
+        let spec = target_spec("P-CLHT").unwrap();
+        let cp = Checkpoint::create(&spec).unwrap();
+        let held = cp.acquire();
+        let baseline = images(&held);
+        dirty(&spec, Arc::clone(&held), 7);
+        let fresh = cp.acquire();
+        assert_ne!(Arc::as_ptr(&fresh), Arc::as_ptr(&held));
+        assert_eq!(images(&fresh), baseline, "fresh pool equals the checkpoint");
+        assert_ne!(images(&held), baseline, "the held pool is left alone");
+    }
+
+    #[test]
     fn checkpoints_work_for_every_target() {
         for spec in pmrace_targets::all_targets() {
             let cp = Checkpoint::create(&spec).unwrap();
-            let pool = cp.restore();
+            let pool = cp.acquire();
             let session = Session::new(pool, SessionConfig::default());
             let target = (spec.recover)(&session).unwrap();
             let v = session.view(ThreadId(0));

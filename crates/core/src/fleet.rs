@@ -1,42 +1,29 @@
 //! Fleet plumbing for multi-worker fuzzing: the shared cross-worker seed
-//! pool and the signature-striped bug-ledger front.
+//! pool.
 //!
 //! The paper ran 13 parallel fuzzing workers for 20 hours (§6.1). A fleet
 //! only beats 13 independent fuzzers if workers *share* their discoveries
-//! without serializing on them:
+//! without serializing on them. [`SharedCorpus`] is a sharded in-memory
+//! seed pool — one stripe per worker, each under its own lock. A worker
+//! that unlocks new coverage publishes the seed to its stripe; siblings
+//! import everything published since their last look (and sometimes
+//! *steal* the freshest import as their next seed outright), so a good
+//! seed from worker 0 is being mutated by workers 1..N within a few
+//! campaigns. Workers never touch each other's RNG streams: imports change
+//! *which* seeds are evolved, not how the per-worker `StdRng` draws, so
+//! seeded runs stay replayable and recorded repros stay valid.
 //!
-//! - [`SharedCorpus`] is a sharded in-memory seed pool — one stripe per
-//!   worker, each under its own lock. A worker that unlocks new coverage
-//!   publishes the seed to its stripe; siblings import everything published
-//!   since their last look (and sometimes *steal* the freshest import as
-//!   their next seed outright), so a good seed from worker 0 is being
-//!   mutated by workers 1..N within a few campaigns. Workers never touch
-//!   each other's RNG streams: imports change *which* seeds are evolved,
-//!   not how the per-worker `StdRng` draws, so seeded runs stay replayable
-//!   and recorded repros stay valid.
-//! - [`SharedLedger`] fronts the deduplicating [`Ledger`] with per-stripe
-//!   signature filters. The common campaign carries nothing new; such
-//!   campaigns are absorbed by the stripe locks (selected by signature
-//!   hash) without ever taking the global ledger lock. Only campaigns with
-//!   at least one globally-fresh signature fall through to the real
-//!   `begin_ingest`, and post-failure validation still runs outside every
-//!   lock, so cache-miss recovery executions from different workers stay
-//!   fully concurrent.
+//! Workers share the bug [`Ledger`](crate::Ledger) behind one
+//! `Mutex<Ledger>`: [`Ledger::begin_ingest`](crate::Ledger::begin_ingest)
+//! is cheap dedup under the lock, and the expensive post-failure
+//! validation runs with the lock released, so recovery executions from
+//! different workers stay concurrent.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use pmrace_api::TargetSpec;
-use pmrace_runtime::report::CandidateKind;
-use pmrace_runtime::site_label;
 use pmrace_telemetry as telemetry;
 
-use crate::bugs::{IngestDelta, IngestPlan, Ledger};
-use crate::campaign::CampaignResult;
 use crate::seed::Seed;
 
 /// Seeds kept per stripe; the oldest publication is dropped beyond this
@@ -125,149 +112,6 @@ impl SharedCorpus {
     }
 }
 
-/// Signature of one deduplicable finding, exactly mirroring the keys the
-/// [`Ledger`] indexes use. Hang is tracked separately (a single flag).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum SigKey {
-    /// Candidate `(write label, read label, kind)`.
-    Cand(String, String, CandidateKind),
-    /// Inconsistency `(write, read, effect)` labels.
-    Incons(String, String, String),
-    /// Sync var name.
-    Sync(String),
-    /// Perf issue `(checker, site label)`.
-    Perf(String, String),
-}
-
-/// Signature stripes in the ledger front (power of two).
-const SIG_STRIPES: usize = 16;
-
-/// Concurrent front for the deduplicating bug [`Ledger`].
-///
-/// `begin_ingest` probes each finding's signature against a per-stripe
-/// `HashSet` (stripe chosen by signature hash). Campaigns whose findings
-/// are all already-seen are absorbed right there — their statistics land
-/// in side atomics and the global ledger lock is never taken. Campaigns
-/// with a fresh signature take the inner lock for the real (cheap)
-/// [`Ledger::begin_ingest`]; the expensive recovery validation then runs
-/// with no lock held, and `finish_ingest` re-locks briefly to apply
-/// verdicts. Exactly-once minting holds because the stripe insert is the
-/// linearization point: whichever worker first inserts a signature goes to
-/// the inner ledger with it.
-#[derive(Debug)]
-pub struct SharedLedger {
-    inner: Mutex<Ledger>,
-    stripes: [Mutex<HashSet<SigKey>>; SIG_STRIPES],
-    /// Campaigns absorbed by the fast path (inner ledger never saw them).
-    fast_campaigns: AtomicUsize,
-    /// Hang campaigns absorbed by the fast path.
-    fast_hangs: AtomicUsize,
-    /// Whether some worker already owns minting the (single) hang bug.
-    hang_claimed: AtomicBool,
-    /// Max annotations count seen on the fast path.
-    annotations: AtomicUsize,
-}
-
-impl SharedLedger {
-    /// Empty sharded ledger for a target.
-    #[must_use]
-    pub fn new(spec: TargetSpec) -> Self {
-        SharedLedger {
-            inner: Mutex::new(Ledger::new(spec)),
-            stripes: std::array::from_fn(|_| Mutex::new(HashSet::new())),
-            fast_campaigns: AtomicUsize::new(0),
-            fast_hangs: AtomicUsize::new(0),
-            hang_claimed: AtomicBool::new(false),
-            annotations: AtomicUsize::new(0),
-        }
-    }
-
-    fn stripe_of(key: &SigKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SIG_STRIPES - 1)
-    }
-
-    /// Probe-insert `key`; `true` when this call was the first to see it.
-    fn claim(&self, key: SigKey) -> bool {
-        let stripe = Self::stripe_of(&key);
-        self.stripes[stripe].lock().insert(key)
-    }
-
-    /// Phase 1 under striped locks: dedup the campaign's findings by
-    /// signature. Returns `None` when nothing is globally new — the caller
-    /// skips validation and `finish_ingest` entirely (the global ledger
-    /// lock is not taken). Returns the inner ledger's [`IngestPlan`]
-    /// otherwise.
-    pub fn begin_ingest(&self, result: &CampaignResult, elapsed: Duration) -> Option<IngestPlan> {
-        self.annotations
-            .fetch_max(result.annotations.len(), Ordering::Relaxed);
-        let mut fresh = false;
-        for cand in &result.findings.candidates {
-            let key = SigKey::Cand(
-                site_label(cand.write_site).to_owned(),
-                site_label(cand.read_site).to_owned(),
-                cand.kind,
-            );
-            fresh |= self.claim(key);
-        }
-        for rec in &result.findings.inconsistencies {
-            let key = SigKey::Incons(
-                site_label(rec.candidate.write_site).to_owned(),
-                site_label(rec.candidate.read_site).to_owned(),
-                site_label(rec.effect_site).to_owned(),
-            );
-            fresh |= self.claim(key);
-        }
-        for upd in &result.findings.sync_updates {
-            fresh |= self.claim(SigKey::Sync(upd.var_name.clone()));
-        }
-        for issue in &result.findings.perf_issues {
-            let key = SigKey::Perf(issue.checker.to_owned(), site_label(issue.site).to_owned());
-            fresh |= self.claim(key);
-        }
-        if result.findings.hang && !self.hang_claimed.swap(true, Ordering::AcqRel) {
-            fresh = true;
-        }
-        if !fresh {
-            // Everything already seen: absorb the campaign's bookkeeping
-            // without the global lock.
-            self.fast_campaigns.fetch_add(1, Ordering::Relaxed);
-            if result.findings.hang {
-                self.fast_hangs.fetch_add(1, Ordering::Relaxed);
-            }
-            return None;
-        }
-        Some(self.inner.lock().begin_ingest(result, elapsed))
-    }
-
-    /// Phase 3 under the inner lock: apply verdicts and mint unique bugs.
-    /// Call [`IngestPlan::validate`] between the phases, off-lock.
-    pub fn finish_ingest(
-        &self,
-        plan: IngestPlan,
-        result: &CampaignResult,
-        seed: Option<&Seed>,
-    ) -> IngestDelta {
-        self.inner.lock().finish_ingest(plan, result, seed)
-    }
-
-    /// Tear down into the inner [`Ledger`], folding the fast-path
-    /// statistics (absorbed campaigns/hangs, annotation max) back in. The
-    /// result is indistinguishable from having ingested every campaign
-    /// through the slow path.
-    #[must_use]
-    pub fn into_ledger(self) -> Ledger {
-        let mut ledger = self.inner.into_inner();
-        ledger.absorb_fast_path(
-            self.fast_campaigns.into_inner(),
-            self.fast_hangs.into_inner(),
-            self.annotations.into_inner(),
-        );
-        ledger
-    }
-}
-
 /// Count a cross-worker seed import batch in the fleet telemetry.
 pub(crate) fn note_imports(n: usize) {
     if n > 0 {
@@ -283,9 +127,12 @@ pub(crate) fn note_steal() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bugs::Ledger;
     use crate::campaign::{run_campaign, CampaignConfig};
     use crate::mutator::OpMutator;
     use pmrace_targets::{target_spec, Op};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn publish_and_import_flow_across_stripes() {
@@ -333,6 +180,19 @@ mod tests {
         assert_eq!(got.last(), seeds.last(), "newest kept");
     }
 
+    /// One campaign through the fleet's `Mutex<Ledger>` front the way a
+    /// worker ingests it: validation with the lock released, and no
+    /// `finish_ingest` when `begin_ingest` reports nothing new.
+    fn worker_ingest(
+        shared: &Mutex<Ledger>,
+        res: &crate::campaign::CampaignResult,
+        elapsed: Duration,
+    ) -> Option<crate::bugs::IngestDelta> {
+        let mut plan = shared.lock().begin_ingest(res, elapsed)?;
+        plan.validate(res);
+        Some(shared.lock().finish_ingest(plan, res, None))
+    }
+
     #[test]
     fn sharded_ledger_matches_plain_ingest() {
         let spec = target_spec("P-CLHT").unwrap();
@@ -351,25 +211,50 @@ mod tests {
         plain.ingest(&res, Duration::ZERO);
         plain.ingest(&res, Duration::from_secs(1));
 
-        let shared = SharedLedger::new(spec);
-        let plan = shared
-            .begin_ingest(&res, Duration::ZERO)
+        let shared = Mutex::new(Ledger::new(spec));
+        let delta = worker_ingest(&shared, &res, Duration::ZERO)
             .expect("first campaign has fresh findings");
-        let mut plan = plan;
-        plan.validate(&res);
-        let delta = shared.finish_ingest(plan, &res, None);
         assert!(!delta.new_bugs.is_empty());
-        // Identical findings again: absorbed without a plan.
+        // Identical findings again: counted without a plan.
         assert!(
-            shared.begin_ingest(&res, Duration::from_secs(1)).is_none(),
-            "all-duplicate campaign must take the fast path"
+            worker_ingest(&shared, &res, Duration::from_secs(1)).is_none(),
+            "all-duplicate campaign must skip finish_ingest"
         );
-        let ledger = shared.into_ledger();
+        let ledger = shared.into_inner();
         assert_eq!(ledger.stats(), plain.stats(), "stats must not drift");
         assert_eq!(
             ledger.bugs().len(),
             plain.bugs().len(),
             "unique-bug sets must match"
+        );
+    }
+
+    #[test]
+    fn fast_path_counts_hangs() {
+        let spec = target_spec("clevel").unwrap();
+        let cfg = CampaignConfig {
+            threads: 1,
+            deadline: Duration::from_secs(5),
+            ..CampaignConfig::default()
+        };
+        let seed = Seed::from_flat(&[Op::Insert { key: 1, value: 1 }], 1);
+        let mut res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        res.findings.hang = true;
+        let shared = Mutex::new(Ledger::new(spec));
+        for i in 0..3u64 {
+            let _ = worker_ingest(&shared, &res, Duration::from_millis(i));
+        }
+        let ledger = shared.into_inner();
+        let stats = ledger.stats();
+        assert_eq!(stats.campaigns, 3);
+        assert_eq!(stats.hangs, 3, "duplicate hangs must still be counted");
+        assert_eq!(
+            ledger
+                .bugs()
+                .iter()
+                .filter(|b| b.kind == crate::bugs::BugKind::Hang)
+                .count(),
+            1
         );
     }
 
@@ -386,21 +271,22 @@ mod tests {
         };
         let seed = Seed::from_flat(&ops, 1);
         let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
-        let shared = SharedLedger::new(spec);
+        let shared = Mutex::new(Ledger::new(spec));
         let minted = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let (shared, res, minted) = (&shared, &res, &minted);
                 scope.spawn(move || {
-                    if let Some(mut plan) = shared.begin_ingest(res, Duration::ZERO) {
+                    let plan = shared.lock().begin_ingest(res, Duration::ZERO);
+                    if let Some(mut plan) = plan {
                         plan.validate(res);
-                        let delta = shared.finish_ingest(plan, res, None);
+                        let delta = shared.lock().finish_ingest(plan, res, None);
                         minted.fetch_add(delta.new_bugs.len(), Ordering::Relaxed);
                     }
                 });
             }
         });
-        let ledger = shared.into_ledger();
+        let ledger = shared.into_inner();
         assert_eq!(ledger.stats().campaigns, 4);
         assert_eq!(
             minted.load(Ordering::Relaxed),
@@ -427,15 +313,17 @@ mod tests {
         let seed = Seed::from_flat(&ops, 1);
         let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
 
-        let inline = SharedLedger::new(spec);
+        let inline = Mutex::new(Ledger::new(spec));
         let mut plan = inline
+            .lock()
             .begin_ingest(&res, Duration::ZERO)
             .expect("fresh findings");
         plan.validate(&res);
-        let inline_delta = inline.finish_ingest(plan, &res, None);
+        let inline_delta = inline.lock().finish_ingest(plan, &res, None);
 
-        let deferred = SharedLedger::new(spec);
+        let deferred = Mutex::new(Ledger::new(spec));
         let plan = deferred
+            .lock()
             .begin_ingest(&res, Duration::ZERO)
             .expect("fresh findings");
         let deferred_delta = std::thread::scope(|scope| {
@@ -444,7 +332,7 @@ mod tests {
                 .spawn(move || {
                     let mut plan = plan;
                     plan.validate(res);
-                    deferred.finish_ingest(plan, res, None)
+                    deferred.lock().finish_ingest(plan, res, None)
                 })
                 .join()
                 .expect("validator thread")
@@ -455,40 +343,8 @@ mod tests {
             deferred_delta.new_bugs.len(),
             "deferred validation must mint the same bugs"
         );
-        let (a, b) = (inline.into_ledger(), deferred.into_ledger());
+        let (a, b) = (inline.into_inner(), deferred.into_inner());
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.bug_triples(), b.bug_triples(), "verdict triples drifted");
-    }
-
-    #[test]
-    fn fast_path_counts_hangs() {
-        let spec = target_spec("clevel").unwrap();
-        let cfg = CampaignConfig {
-            threads: 1,
-            deadline: Duration::from_secs(5),
-            ..CampaignConfig::default()
-        };
-        let seed = Seed::from_flat(&[Op::Insert { key: 1, value: 1 }], 1);
-        let mut res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
-        res.findings.hang = true;
-        let shared = SharedLedger::new(spec);
-        for i in 0..3u64 {
-            if let Some(mut plan) = shared.begin_ingest(&res, Duration::from_millis(i)) {
-                plan.validate(&res);
-                let _ = shared.finish_ingest(plan, &res, None);
-            }
-        }
-        let ledger = shared.into_ledger();
-        let stats = ledger.stats();
-        assert_eq!(stats.campaigns, 3);
-        assert_eq!(stats.hangs, 3, "fast-path hangs must still be counted");
-        assert_eq!(
-            ledger
-                .bugs()
-                .iter()
-                .filter(|b| b.kind == crate::bugs::BugKind::Hang)
-                .count(),
-            1
-        );
     }
 }

@@ -1,9 +1,9 @@
 //! The top-level fuzzer: a fleet of exploration workers over a shared
-//! wait-free coverage frontier, a sharded cross-worker seed pool, and a
-//! signature-striped bug ledger (see [`crate::fleet`]). Workers exchange
-//! discoveries but share no locks on the campaign hot path: coverage
-//! merges are atomic, duplicate findings are absorbed by striped filters,
-//! and timelines accumulate in per-worker buffers merged at shutdown.
+//! wait-free coverage frontier, a sharded cross-worker seed pool (see
+//! [`crate::fleet`]) and one shared bug ledger. Coverage merges are
+//! atomic, the ledger lock is held only for cheap dedup and verdict
+//! bookkeeping (post-failure validation runs outside it), and timelines
+//! accumulate in per-worker buffers merged at shutdown.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,11 +16,11 @@ use pmrace_runtime::RtError;
 use pmrace_sched::SyncTuning;
 use pmrace_telemetry as telemetry;
 
-use crate::bugs::{DetectionStats, IngestDelta, IngestPlan, UniqueBug};
+use crate::bugs::{DetectionStats, IngestDelta, IngestPlan, Ledger, UniqueBug};
 use crate::campaign::{CampaignConfig, StrategyKind};
 use crate::corpus::CorpusDir;
 use crate::explore::{ExploreConfig, Explorer, StepOutcome};
-use crate::fleet::{SharedCorpus, SharedLedger};
+use crate::fleet::SharedCorpus;
 use crate::pipeline::{HandoffQueue, ValidationJob};
 
 /// Callback the fuzzer fires when a campaign contributes *new* unique
@@ -89,11 +89,6 @@ pub struct FuzzConfig {
     pub eviction_interval_us: u64,
     /// RNG seed for deterministic runs.
     pub rng_seed: u64,
-    /// Memoize post-failure validation verdicts across campaigns (see
-    /// [`crate::validate::set_validation_cache`]). On by default; verdicts
-    /// are pure functions of their cache key, so this changes recovery
-    /// volume, never the reported bug set.
-    pub validation_cache: bool,
     /// Fired with the step outcome and ledger delta whenever a campaign
     /// finds something new; turning it on also enables schedule capture in
     /// the explorers (see
@@ -106,15 +101,6 @@ pub struct FuzzConfig {
     /// Print a human-readable progress line to stderr at this interval
     /// (also turns the telemetry registry on).
     pub progress_interval: Option<Duration>,
-    /// Run the validation pipeline even with a single worker. Multi-worker
-    /// fleets always pipeline (exec workers hand completed campaigns to a
-    /// validator pool instead of running recovery sessions inline); a
-    /// single worker defaults to the inline path, whose campaign-by-
-    /// campaign ordering is the determinism baseline. Forcing the pipeline
-    /// at one worker keeps the bug set byte-identical — one validator
-    /// draining a FIFO queue applies verdicts in exactly submission order —
-    /// and exists so tests can prove that equivalence.
-    pub force_pipeline: bool,
 }
 
 impl FuzzConfig {
@@ -139,11 +125,9 @@ impl FuzzConfig {
             extra_whitelist: Vec::new(),
             eviction_interval_us: 0,
             rng_seed: 0xC0FFEE,
-            validation_cache: true,
             record: None,
             telemetry_dir: None,
             progress_interval: None,
-            force_pipeline: false,
         }
     }
 }
@@ -267,7 +251,6 @@ impl Fuzzer {
         if self.cfg.telemetry_dir.is_some() || self.cfg.progress_interval.is_some() {
             telemetry::set_enabled(true);
         }
-        crate::validate::set_validation_cache(self.cfg.validation_cache);
         telemetry::metrics::gauge_set(
             telemetry::Gauge::FuzzWorkers,
             self.cfg.workers.max(1) as u64,
@@ -286,11 +269,10 @@ impl Fuzzer {
             None => Vec::new(),
         };
         let worker_count = self.cfg.workers.max(1);
-        // Fleet state: no campaign-hot-path locks. The frontier is merged
-        // into atomically by the explorers themselves, the seed pool is
-        // striped per worker, and the ledger front absorbs all-duplicate
-        // campaigns under signature-stripe locks.
-        let ledger = SharedLedger::new(self.spec);
+        // Fleet state. The frontier is merged into atomically by the
+        // explorers themselves, the seed pool is striped per worker, and
+        // the one ledger lock is held only for dedup and bookkeeping.
+        let ledger = Mutex::new(Ledger::new(self.spec));
         let frontier = Arc::new(CoverageMap::new());
         let pool = Arc::new(SharedCorpus::new(worker_count));
         let campaigns = AtomicUsize::new(0);
@@ -300,19 +282,16 @@ impl Fuzzer {
         let corpus_error = Mutex::new(None::<String>);
         let record = self.cfg.record.clone();
         let reporter_stop = std::sync::atomic::AtomicBool::new(false);
-        // Pipelined execution (off at one worker unless forced): exec
-        // workers run phase 1 of ingestion (striped signature dedup, so
-        // first-seen ordering is fixed at campaign completion) and hand the
-        // plan + outcome to a validator pool over this bounded queue;
-        // validators run the recovery sessions and apply verdicts. The
-        // queue is small on purpose — when validators fall behind, exec
-        // workers validate inline rather than queueing unboundedly.
-        let pipeline: Option<Arc<HandoffQueue<ValidationJob>>> = (worker_count > 1
-            || self.cfg.force_pipeline)
-            .then(|| Arc::new(HandoffQueue::new(worker_count * 2)));
-        // Single-worker determinism mode: hand jobs across threads but wait
-        // for each before the next campaign (see `HandoffQueue::wait_idle`).
-        let sync_handoff = worker_count == 1;
+        // Pipelined execution (multi-worker fleets only; one worker
+        // validates inline, the determinism baseline): exec workers run
+        // phase 1 of ingestion (dedup, so first-seen ordering is fixed at
+        // campaign completion) and hand the plan + outcome to a validator
+        // pool over this bounded queue; validators run the recovery
+        // sessions and apply verdicts. The queue is small on purpose — when
+        // validators fall behind, exec workers validate inline rather than
+        // queueing unboundedly.
+        let pipeline: Option<Arc<HandoffQueue<ValidationJob>>> =
+            (worker_count > 1).then(|| Arc::new(HandoffQueue::new(worker_count * 2)));
 
         // Per-worker timeline buffers, merged (and time-sorted) after the
         // scope joins — the workers never contend on a timeline lock.
@@ -328,9 +307,7 @@ impl Fuzzer {
             });
             // Validator pool: one validator absorbs the validation load of
             // about four exec workers (validation is a few percent of
-            // campaign CPU); exactly one validator when forced at a single
-            // worker, so verdicts land in FIFO submission order and the
-            // run stays byte-identical to the inline path.
+            // campaign CPU).
             let mut validators = Vec::new();
             if let Some(queue) = &pipeline {
                 for _ in 0..worker_count.div_ceil(4) {
@@ -349,7 +326,6 @@ impl Fuzzer {
                             );
                             let ValidationJob { plan, out, .. } = job;
                             validate_and_finish(ledger, plan, &out, record.as_ref());
-                            queue.job_done();
                         }
                     }));
                 }
@@ -438,15 +414,15 @@ impl Fuzzer {
                                     alias_pairs: alias,
                                     branches,
                                 });
-                                // Three-phase ingest: dedup under signature
-                                // stripes on the exec thread (all-duplicate
-                                // campaigns never touch the global ledger
-                                // lock), then recovery executions and
+                                // Three-phase ingest: dedup on the exec
+                                // thread (all-duplicate campaigns end
+                                // there), then recovery executions and
                                 // verdict application — the expensive part —
                                 // handed to the validator pool; inline only
                                 // when the pipeline is down or its queue is
                                 // full (backpressure).
-                                if let Some(plan) = ledger.begin_ingest(&out.result, elapsed) {
+                                let plan = ledger.lock().begin_ingest(&out.result, elapsed);
+                                if let Some(plan) = plan {
                                     match pipeline {
                                         Some(queue) => {
                                             let job = ValidationJob {
@@ -464,17 +440,6 @@ impl Fuzzer {
                                                         telemetry::Gauge::ValidateQueueDepth,
                                                         queue.depth() as u64,
                                                     );
-                                                    if sync_handoff {
-                                                        // Forced pipeline at
-                                                        // one worker: don't
-                                                        // overlap validation
-                                                        // with the next
-                                                        // campaign, so the
-                                                        // run stays byte-
-                                                        // identical to the
-                                                        // inline path.
-                                                        queue.wait_idle();
-                                                    }
                                                 }
                                                 Err(job) => {
                                                     telemetry::add(
@@ -542,7 +507,7 @@ impl Fuzzer {
         }
         let elapsed = start.elapsed();
         let emit_span = telemetry::span(telemetry::Phase::ReportEmit);
-        let ledger = ledger.into_ledger();
+        let ledger = ledger.into_inner();
         let total = campaigns.load(Ordering::Relaxed);
         let total_accesses = pm_accesses.load(Ordering::Relaxed);
         let report = FuzzReport {
@@ -583,18 +548,20 @@ impl Fuzzer {
 }
 
 /// Phases 2+3 of campaign ingestion: run the recovery-session validations
-/// the plan calls for (no locks held), fold verdicts into the ledger, and
+/// the plan calls for (ledger unlocked), fold verdicts into the ledger, and
 /// fire the record sink on fresh findings. Shared by the validator pool
-/// and the inline fallback paths, so both produce identical ledger state
-/// for a given submission order.
+/// and the inline paths, so both produce identical ledger state for a
+/// given submission order.
 fn validate_and_finish(
-    ledger: &SharedLedger,
+    ledger: &Mutex<Ledger>,
     mut plan: IngestPlan,
     out: &StepOutcome,
     record: Option<&RecordSink>,
 ) {
     plan.validate(&out.result);
-    let delta = ledger.finish_ingest(plan, &out.result, Some(&out.seed));
+    let delta = ledger
+        .lock()
+        .finish_ingest(plan, &out.result, Some(&out.seed));
     if !delta.is_empty() {
         if let Some(sink) = record {
             sink.call(out, &delta);
@@ -765,43 +732,6 @@ mod tests {
         let report = Fuzzer::new(cfg).unwrap().run().unwrap();
         assert!(report.corpus_save_errors >= 1, "{report:?}");
         assert!(report.corpus_error.is_some());
-    }
-
-    #[test]
-    fn forced_pipeline_is_byte_identical_to_inline_at_one_worker() {
-        register();
-        // Single-threaded campaigns are fully deterministic (no natural
-        // races to discover), so any divergence between the two runs can
-        // only come from the validation pipeline itself. 300 ops crosses
-        // P-CLHT's resize threshold, which mints a real validated bug —
-        // the comparison covers Bug and ValidatedFp verdicts, not just
-        // empty ledgers.
-        let run = |force_pipeline: bool| {
-            let mut cfg = FuzzConfig::new("P-CLHT");
-            cfg.max_campaigns = 8;
-            cfg.workers = 1;
-            cfg.threads = 1;
-            cfg.ops_per_thread = 300;
-            cfg.wall_budget = Duration::from_secs(60);
-            cfg.campaign_deadline = Duration::from_secs(2);
-            cfg.rng_seed = 0xD15C;
-            cfg.force_pipeline = force_pipeline;
-            Fuzzer::new(cfg).unwrap().run().unwrap()
-        };
-        let inline = run(false);
-        let piped = run(true);
-        // One worker + one validator draining a FIFO queue must reproduce
-        // the inline path exactly: same campaigns, same coverage, same
-        // verdicts in the same order.
-        assert_eq!(inline.campaigns, piped.campaigns);
-        assert_eq!(inline.bug_triples, piped.bug_triples, "bug triples drifted");
-        assert_eq!(inline.stats, piped.stats, "detection stats drifted");
-        assert_eq!(inline.alias_pairs, piped.alias_pairs);
-        assert_eq!(inline.branches, piped.branches);
-        assert!(
-            !piped.bug_triples.is_empty(),
-            "the run must mint a validated bug for the comparison to bite"
-        );
     }
 
     #[test]

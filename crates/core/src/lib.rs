@@ -25,9 +25,8 @@
 //!    instruction / sync variable) and accumulates every statistic the
 //!    evaluation tables report.
 //! 6. [`fuzzer`] ties it together, including concurrent fuzzing workers
-//!    (§5) and the timelines behind Figs. 8–10; [`fleet`] is the plumbing
-//!    those workers share — the wait-free coverage frontier, the sharded
-//!    cross-worker seed pool, and the signature-striped ledger front.
+//!    (§5) and the timelines behind Figs. 8–10; [`fleet`] is the
+//!    cross-worker seed pool those workers share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +48,7 @@ pub mod validate;
 
 pub use bugs::{BugKind, DetectionStats, IngestDelta, IngestPlan, Ledger, UniqueBug};
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult, StrategyKind};
-pub use fleet::{SharedCorpus, SharedLedger};
+pub use fleet::SharedCorpus;
 pub use fuzzer::{FuzzConfig, FuzzReport, Fuzzer, RecordSink};
 pub use mutator::OpMutator;
 pub use schedule::{EventCapture, PlanCapture, ScheduleCapture, StrategyCapture};

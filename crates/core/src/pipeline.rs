@@ -26,8 +26,8 @@ use crate::bugs::IngestPlan;
 use crate::explore::StepOutcome;
 
 /// A completed campaign whose fresh findings await validation: the ingest
-/// plan minted by [`SharedLedger::begin_ingest`](crate::fleet::SharedLedger)
-/// (dedup already done, signatures already claimed) plus the full step
+/// plan minted by [`Ledger::begin_ingest`](crate::Ledger::begin_ingest)
+/// (dedup already done, index slots already reserved) plus the full step
 /// outcome the verdicts will be folded back against.
 #[derive(Debug)]
 pub struct ValidationJob {
@@ -52,17 +52,12 @@ pub struct HandoffQueue<T> {
     state: Mutex<State<T>>,
     /// Signalled on push and close; poppers wait on it.
     ready: Condvar,
-    /// Signalled when a consumer finishes a job; [`HandoffQueue::wait_idle`]
-    /// waits on it.
-    idle: Condvar,
     cap: usize,
 }
 
 #[derive(Debug)]
 struct State<T> {
     buf: VecDeque<T>,
-    /// Jobs popped but not yet marked done ([`HandoffQueue::job_done`]).
-    in_flight: usize,
     closed: bool,
 }
 
@@ -74,11 +69,9 @@ impl<T> HandoffQueue<T> {
         HandoffQueue {
             state: Mutex::new(State {
                 buf: VecDeque::with_capacity(cap),
-                in_flight: 0,
                 closed: false,
             }),
             ready: Condvar::new(),
-            idle: Condvar::new(),
             cap,
         }
     }
@@ -98,45 +91,16 @@ impl<T> HandoffQueue<T> {
 
     /// Blocking pop: waits until an item arrives or the queue is closed
     /// *and* drained. `None` means no item will ever arrive again.
-    ///
-    /// A popped item counts as *in flight* until the consumer calls
-    /// [`HandoffQueue::job_done`]; [`HandoffQueue::wait_idle`] observes
-    /// both the buffer and the in-flight count.
     pub fn pop(&self) -> Option<T> {
         let mut state = self.state.lock();
         loop {
             if let Some(item) = state.buf.pop_front() {
-                state.in_flight += 1;
                 return Some(item);
             }
             if state.closed {
                 return None;
             }
             self.ready.wait(&mut state);
-        }
-    }
-
-    /// Mark one previously popped item as fully processed.
-    pub fn job_done(&self) {
-        let mut state = self.state.lock();
-        state.in_flight = state.in_flight.saturating_sub(1);
-        let idle = state.buf.is_empty() && state.in_flight == 0;
-        drop(state);
-        if idle {
-            self.idle.notify_all();
-        }
-    }
-
-    /// Block until the queue is empty *and* every popped item has been
-    /// marked done. This is the single-worker determinism mode: the exec
-    /// worker pushes one job and waits for the validator to finish it, so
-    /// validation still crosses threads (exercising the deferred path) but
-    /// never overlaps the next campaign's execution — run results stay
-    /// byte-identical to the inline path.
-    pub fn wait_idle(&self) {
-        let mut state = self.state.lock();
-        while !(state.buf.is_empty() && state.in_flight == 0) {
-            self.idle.wait(&mut state);
         }
     }
 
@@ -191,36 +155,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1), "queued work survives close");
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None, "drained + closed: consumers exit");
-    }
-
-    #[test]
-    fn wait_idle_covers_in_flight_jobs() {
-        let q = std::sync::Arc::new(HandoffQueue::<u32>::new(4));
-        let finished = std::sync::Arc::new(AtomicUsize::new(0));
-        let consumer = {
-            let (q, finished) = (std::sync::Arc::clone(&q), std::sync::Arc::clone(&finished));
-            std::thread::spawn(move || {
-                while let Some(v) = q.pop() {
-                    // Simulate validation work after the pop: wait_idle
-                    // must not return while this is still running.
-                    std::thread::sleep(std::time::Duration::from_millis(u64::from(v)));
-                    finished.fetch_add(1, Ordering::SeqCst);
-                    q.job_done();
-                }
-            })
-        };
-        for _ in 0..3 {
-            q.push(5).unwrap();
-            q.wait_idle();
-            assert_eq!(q.depth(), 0);
-        }
-        assert_eq!(
-            finished.load(Ordering::SeqCst),
-            3,
-            "wait_idle returned with a job still in flight"
-        );
-        q.close();
-        consumer.join().unwrap();
     }
 
     #[test]

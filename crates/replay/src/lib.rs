@@ -24,7 +24,8 @@
 //!    that replays the checked-in corpus and reports any artifact whose
 //!    bug no longer fires.
 //!
-//! The JSON layer is hand-rolled ([`json`]) — the build environment is
+//! Artifacts are read and written with the workspace's one hand-rolled
+//! JSON module, re-exported here as [`json`] — the build environment is
 //! offline and the workspace vendors no serde.
 
 #![forbid(unsafe_code)]
@@ -32,11 +33,12 @@
 
 pub mod artifact;
 pub mod corpus;
-pub mod json;
 pub mod minimize;
 pub mod recorder;
 pub mod replayer;
 pub mod store;
+
+pub use pmrace_telemetry::json;
 
 pub use artifact::{BugSignature, CampaignSpec, EventSpec, Repro, ScheduleSpec, REPRO_VERSION};
 pub use corpus::{build_corpus, build_recipe, recipes, replay_corpus, BuiltRepro, Recipe};

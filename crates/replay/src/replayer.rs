@@ -22,6 +22,11 @@
 //!
 //! Non-Pmrace schedules (delay / systematic) re-seed their strategies
 //! directly; they are deterministic given the recorded parameters.
+//! Free-schedule artifacts recorded a race the OS scheduler happened to
+//! produce: their first attempt runs free, and follow-ups steer toward the
+//! signature's own (read, write) pair with [`PmraceStrategy`] — or, while
+//! no attempt has surfaced that pair on a shared granule, perturb the
+//! schedule with random delays.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -90,6 +95,10 @@ pub struct ReplayOutcome {
     pub duration: Duration,
 }
 
+/// Longest random delay before each PM access in a follow-up attempt of a
+/// free artifact whose racing pair no attempt has surfaced yet.
+const FREE_RETRY_DELAY: Duration = Duration::from_micros(100);
+
 /// Replay `repro` and report whether its finding re-fired.
 ///
 /// # Errors
@@ -126,7 +135,7 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
     // when the schedule references sites; harmless to skip otherwise.
     let needs_recon =
         matches!(repro.schedule, ScheduleSpec::Pmrace { .. }) && opts.mode != ReplayMode::Free;
-    let recon = if needs_recon {
+    let mut recon = if needs_recon {
         let _span = telemetry::span(telemetry::Phase::ReplayRecon);
         Some(run_campaign(&spec, &seed, &cfg, None, None)?)
     } else {
@@ -160,6 +169,16 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
         };
         attempts += 1;
         let _ = ledger.ingest_with_seed(&result, start.elapsed(), Some(&seed));
+        if matches!(repro.schedule, ScheduleSpec::Free)
+            && recon
+                .as_ref()
+                .and_then(|r| signature_plan(repro, r))
+                .is_none()
+        {
+            // Free attempts double as recon for steered follow-ups (see
+            // `build_strategy`) until one surfaces the signature's pair.
+            recon = Some(result);
+        }
         if let Some(strict) = strict {
             divergence = strict.divergence();
             if divergence.is_some() {
@@ -207,7 +226,28 @@ fn build_strategy(
         return Ok((None, None));
     }
     match &repro.schedule {
-        ScheduleSpec::Free => Ok((None, None)),
+        ScheduleSpec::Free => match recon {
+            // A free artifact recorded a race the OS scheduler happened
+            // to produce, and a warm process may never repeat it. Once
+            // the free attempt has missed, steer the follow-ups toward the
+            // signature's own (read, write) pair with the Fig. 6
+            // scheduler, resolved against a missed attempt that reached
+            // it; until one does, perturb them with random delays.
+            Some(recon) if attempt > 0 => {
+                let strategy: Arc<dyn InterleaveStrategy> = match signature_plan(repro, recon) {
+                    Some(plan) => Arc::new(PmraceStrategy::with_skips(
+                        plan,
+                        repro.campaign.threads,
+                        HashMap::new(),
+                        repro.campaign.tuning,
+                        attempt as u64,
+                    )),
+                    None => Arc::new(DelayStrategy::new(FREE_RETRY_DELAY, attempt as u64)),
+                };
+                Ok((Some(strategy), None))
+            }
+            _ => Ok((None, None)),
+        },
         ScheduleSpec::Delay {
             max_delay_us,
             rng_seed,
@@ -300,6 +340,37 @@ fn resolve_off(recon: &CampaignResult, loads: &[String], stores: &[String]) -> O
                     .any(|(s, _)| stores.iter().any(|l| site_label(*s) == *l))
         })
         .map(|e| e.off)
+}
+
+/// Fig. 6 plan on the granule where `recon` saw the signature's read and
+/// write labels meet; `None` for signatures without a racing pair (sync,
+/// hang, perf) or when `recon` never reached it.
+fn signature_plan(repro: &Repro, recon: &CampaignResult) -> Option<SyncPlan> {
+    let sig = &repro.signature;
+    if !matches!(sig.kind.as_str(), "Inter" | "Intra" | "Candidate") {
+        return None;
+    }
+    let entry = recon.shared.iter().find(|e| {
+        e.load_sites
+            .iter()
+            .any(|(s, _)| site_label(*s) == sig.read_label)
+            && e.store_sites
+                .iter()
+                .any(|(s, _)| site_label(*s) == sig.write_label)
+    })?;
+    let ids_labelled = |sites: &[(pmrace_runtime::Site, u32)], label: &str| {
+        sites
+            .iter()
+            .filter(|(s, _)| site_label(*s) == label)
+            .map(|(s, _)| s.id())
+            .collect()
+    };
+    Some(SyncPlan {
+        off: entry.off,
+        load_sites: ids_labelled(&entry.load_sites, &sig.read_label),
+        store_sites: ids_labelled(&entry.store_sites, &sig.write_label),
+        cas_sites: entry.cas_sites.iter().map(|(s, _)| s.id()).collect(),
+    })
 }
 
 fn resolve_sites(labels: &[String]) -> Result<HashSet<u32>, String> {
@@ -436,5 +507,46 @@ mod tests {
         assert!(!out.matched);
         let msg = out.divergence.expect("divergence must be reported");
         assert!(msg.contains("never executed"), "{msg}");
+    }
+
+    #[test]
+    fn free_artifacts_steer_toward_their_own_racing_pair() {
+        // Two racing Michael-Scott producers: whichever links first, the
+        // other reads a `next` pointer the linking CAS wrote, so a free
+        // campaign always shares a granule between the two sites.
+        pmrace_lockfree::register_lockfree();
+        let spec = pmrace_api::resolve_target_or_err("ms-queue").unwrap();
+        let seed = Seed::parse("t0: \nt1: \nt2: insert 2=16\nt3: insert 3=1").unwrap();
+        let sig = BugSignature {
+            kind: "Inter".to_owned(),
+            write_label: "msq.c:62.link".to_owned(),
+            read_label: "msq.c:59.read_next".to_owned(),
+            effect_label: "msq.c:72.log_repair".to_owned(),
+        };
+        let mut repro = free_repro("ms-queue", seed.clone(), sig, 3_000_000);
+        let cfg = CampaignConfig {
+            threads: repro.campaign.threads,
+            deadline: repro.deadline(),
+            ..CampaignConfig::default()
+        };
+        let missed = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let plan = signature_plan(&repro, &missed).expect("the pair shares a granule");
+        assert_eq!(plan.load_sites.len(), 1);
+        assert_eq!(plan.store_sites.len(), 1);
+        let opts = ReplayOptions::default();
+        assert!(
+            build_strategy(&repro, &opts, Some(&missed), 0)
+                .unwrap()
+                .0
+                .is_none(),
+            "the first attempt stays free"
+        );
+        assert!(build_strategy(&repro, &opts, Some(&missed), 1)
+            .unwrap()
+            .0
+            .is_some());
+        // Signatures without a racing pair never resolve a plan.
+        repro.signature.kind = "Hang".to_owned();
+        assert!(signature_plan(&repro, &missed).is_none());
     }
 }

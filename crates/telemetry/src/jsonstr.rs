@@ -1,12 +1,5 @@
-//! JSON string-literal escaping and unescaping, shared by every
-//! hand-rolled JSON writer/parser in the workspace.
-//!
-//! The workspace is fully offline (no serde), so both `pmrace-replay`
-//! (repro artifacts) and this crate (telemetry snapshots) hand-roll the
-//! tiny JSON subset they need. The string-literal rules are the one part
-//! that is easy to get subtly wrong twice, so they live here once; the
-//! public `pmrace-api` crate re-exports this module as `pmrace_api::json`
-//! for out-of-tree tooling.
+//! JSON string-literal escaping and unescaping: the lexer under
+//! [`crate::json`], the workspace's one JSON reader and writer.
 //!
 //! Writers escape `"`, `\`, `\n`, `\r`, `\t` and all other control
 //! characters (as `\uXXXX`); the reader additionally accepts the standard

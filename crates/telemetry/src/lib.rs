@@ -7,7 +7,9 @@
 //! buffers, JSONL drain), machine-readable snapshots
 //! ([`snapshot`]: the documented `telemetry.json` schema plus its
 //! validator), and offline rendering ([`stats`]: the `repro stats`
-//! per-phase breakdown and hottest-sites tables).
+//! per-phase breakdown and hottest-sites tables). [`json`] is the
+//! workspace's one JSON reader and writer, shared with repro artifacts
+//! and the hot-path baseline.
 //!
 //! The full catalog of metric and event names, with units and emission
 //! sites, lives in `docs/OBSERVABILITY.md`; that document is the contract
@@ -39,8 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
-pub mod jsonstr;
+pub mod json;
+mod jsonstr;
 pub mod metrics;
 pub mod snapshot;
 pub mod stats;

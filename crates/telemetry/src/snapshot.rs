@@ -32,7 +32,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::{push_str_escaped, Value};
+use crate::json::{escape_into, parse, Value};
 use crate::metrics::{self, Counter, Gauge, Histogram};
 use crate::trace::{self, Phase};
 
@@ -222,7 +222,7 @@ impl Snapshot {
         out.push_str("  },\n  \"top_sites\": [\n");
         for (i, s) in self.top_sites.iter().enumerate() {
             let mut site = String::new();
-            push_str_escaped(&mut site, &s.site);
+            escape_into(&mut site, &s.site);
             let comma = if i + 1 == self.top_sites.len() {
                 ""
             } else {
@@ -327,7 +327,7 @@ fn check_uint_map(doc: &Value, field: &str, expected: &[&str]) -> Result<(), Str
 ///
 /// Returns a human-readable description of the first violation found.
 pub fn validate_snapshot_text(text: &str) -> Result<(), String> {
-    let doc = Value::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let doc = parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     match doc.get("version").and_then(Value::as_u64) {
         Some(SCHEMA_VERSION) => {}
         Some(v) => return Err(format!("schema version {v}, expected {SCHEMA_VERSION}")),
@@ -509,12 +509,12 @@ mod tests {
         assert_eq!(n, 1);
         let trace_text = fs::read_to_string(&trace_path).unwrap();
         let mut lines = trace_text.lines();
-        let meta = crate::json::Value::parse(lines.next().unwrap()).unwrap();
+        let meta = crate::json::parse(lines.next().unwrap()).unwrap();
         assert_eq!(
             meta.get("type").and_then(crate::json::Value::as_str),
             Some("meta")
         );
-        let span = crate::json::Value::parse(lines.next().unwrap()).unwrap();
+        let span = crate::json::parse(lines.next().unwrap()).unwrap();
         assert_eq!(
             span.get("phase").and_then(crate::json::Value::as_str),
             Some("seed_gen")

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::json::Value;
+use crate::json::{parse, Value};
 
 /// Render a duration given in microseconds with an adaptive unit.
 #[must_use]
@@ -156,7 +156,7 @@ fn get_u64(doc: &Value, field: &str, key: &str) -> u64 {
 fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String> {
     crate::snapshot::validate_snapshot_text(text)
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = Value::parse(text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = parse(text).map_err(|e| format!("{}: {e}", path.display()))?;
     let wall_us = doc.get("elapsed_us").and_then(Value::as_u64).unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(out, "== snapshot: {} ==", path.display());
@@ -333,7 +333,7 @@ fn render_trace(path: &Path, text: &str) -> Result<String, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = Value::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
+        let v = parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
         match v.get("type").and_then(Value::as_str) {
             Some("meta") => {
                 dropped = v.get("dropped").and_then(Value::as_u64).unwrap_or(0);

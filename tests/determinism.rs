@@ -69,48 +69,3 @@ fn identical_seeds_find_identical_lockfree_bug_triples() {
         "two identically-seeded single-worker treiber-stack runs diverged"
     );
 }
-
-/// Everything a `UniqueBug` reports except wall-clock timing (which is the
-/// one sanctioned nondeterminism in a report).
-fn bug_identities(report: &pmrace::core::FuzzReport) -> BTreeSet<(String, String, String, String)> {
-    report
-        .bugs
-        .iter()
-        .map(|b| {
-            (
-                format!("{}", b.kind),
-                b.write_label.clone(),
-                b.read_label.clone(),
-                b.effect_label.clone(),
-            )
-        })
-        .collect()
-}
-
-/// The validation verdict cache only memoizes pure functions of its key, so
-/// turning it off may change how many recovery executions run but never
-/// which unique bugs come out.
-#[test]
-fn validation_cache_does_not_change_the_bug_set() {
-    // Both runs live in one test because the cache toggle is
-    // process-global; running them back to back keeps each run's setting
-    // stable for its whole duration.
-    pmrace::register_builtins();
-    let run = |cache: bool| {
-        let mut cfg = deterministic_cfg(42);
-        cfg.validation_cache = cache;
-        Fuzzer::new(cfg).unwrap().run().unwrap()
-    };
-    let with_cache = run(true);
-    let without_cache = run(false);
-    assert_eq!(
-        with_cache.bug_triples.iter().collect::<BTreeSet<_>>(),
-        without_cache.bug_triples.iter().collect::<BTreeSet<_>>(),
-        "verdict memoization changed the surviving bug triples"
-    );
-    assert_eq!(
-        bug_identities(&with_cache),
-        bug_identities(&without_cache),
-        "verdict memoization changed the unique-bug set"
-    );
-}
