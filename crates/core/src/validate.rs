@@ -26,7 +26,18 @@
 //! execution entirely; since a verdict is a pure function of its key, the
 //! cache can never change *which* bugs are reported, only how often
 //! recovery runs ([`set_validation_cache`] turns it off for A/B tests).
+//!
+//! # Recovery pools
+//!
+//! Each thread that validates keeps the pool of its last recovery run and
+//! resets it in place to the next crash image
+//! ([`Pool::restore_crash_image`]) instead of building a pool per run. When
+//! both images sit on the same base (the usual case: captures of one
+//! campaign share its checkpoint's base, or the all-zero base of a new
+//! pool) the reset copies only the granules the last recovery wrote plus
+//! the new image's overlay.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,7 +46,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use pmrace_api::TargetSpec;
-use pmrace_pmem::Pool;
+use pmrace_pmem::{CrashImage, Pool};
 use pmrace_runtime::report::{InconsistencyRecord, SyncUpdateRecord};
 use pmrace_runtime::whitelist::Whitelist;
 use pmrace_runtime::{RtError, Session, SessionConfig};
@@ -146,6 +157,35 @@ fn cache_put(key: CacheKey, verdict: Verdict) {
     stripe.insert(key, verdict);
 }
 
+thread_local! {
+    /// The pool this thread's last recovery run used (see the module docs).
+    static RECOVERY_POOL: RefCell<Option<Arc<Pool>>> = const { RefCell::new(None) };
+}
+
+/// A pool holding `img`'s recovery-time view, for one recovery run.
+///
+/// Recycles this thread's previous recovery pool when nothing else still
+/// references it and its size matches; otherwise materializes a fresh pool
+/// and keeps that one for the next run. `None` for an empty image.
+fn recovery_pool(img: &CrashImage) -> Option<Arc<Pool>> {
+    RECOVERY_POOL.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        if let Some(pool) = slot
+            .as_ref()
+            .filter(|p| Arc::strong_count(p) == 1 && p.size() == img.size())
+        {
+            pool.restore_crash_image(img)
+                .expect("the recycled pool's size matches the image");
+            telemetry::add(telemetry::Counter::ValidatePoolReuses, 1);
+            return Some(Arc::clone(pool));
+        }
+        let pool = Arc::new(Pool::from_crash_image(img).ok()?);
+        telemetry::add(telemetry::Counter::ValidatePoolFresh, 1);
+        *slot = Some(Arc::clone(&pool));
+        Some(pool)
+    })
+}
+
 fn recovery_session(pool: Arc<Pool>) -> Arc<Session> {
     Session::new(
         pool,
@@ -215,10 +255,10 @@ fn validate_inconsistency_impl(spec: &TargetSpec, rec: &InconsistencyRecord) -> 
         // External output: nothing recovery could overwrite.
         return Verdict::Bug;
     }
-    let Ok(pool) = Pool::from_crash_image(img) else {
+    let Some(pool) = recovery_pool(img) else {
         return Verdict::Unvalidated;
     };
-    let session = recovery_session(Arc::new(pool));
+    let session = recovery_session(pool);
     match (spec.recover)(&session) {
         Ok(_) => {}
         Err(RtError::Timeout | RtError::Halted) => return Verdict::Bug, // recovery hangs
@@ -269,10 +309,9 @@ fn validate_sync_impl(spec: &TargetSpec, rec: &SyncUpdateRecord) -> Verdict {
     let Some(img) = rec.crash_image.as_deref() else {
         return Verdict::Unvalidated;
     };
-    let Ok(pool) = Pool::from_crash_image(img) else {
+    let Some(pool) = recovery_pool(img) else {
         return Verdict::Unvalidated;
     };
-    let pool = Arc::new(pool);
     let session = recovery_session(Arc::clone(&pool));
     match (spec.recover)(&session) {
         Ok(_) => {}
@@ -392,6 +431,39 @@ mod tests {
                 "at least one link-field inconsistency validates as FP"
             );
         }
+    }
+
+    #[test]
+    fn recovery_pools_are_recycled_per_thread() {
+        // A thread of its own, so the slot starts empty.
+        std::thread::spawn(|| {
+            use pmrace_pmem::{PoolOpts, SiteTag, ThreadId};
+            let src = Pool::new(PoolOpts::with_size(1 << 16));
+            src.ntstore_u64(64, 5, ThreadId(0), SiteTag(1)).unwrap();
+            let first = src.crash_image().unwrap();
+            src.ntstore_u64(128, 6, ThreadId(0), SiteTag(1)).unwrap();
+            let second = src.crash_image().unwrap();
+
+            let a = recovery_pool(&first).unwrap();
+            a.store_u64(4096, 9, ThreadId(0), SiteTag(2)).unwrap();
+            // A pool still held elsewhere is left alone.
+            let b = recovery_pool(&first).unwrap();
+            assert!(!Arc::ptr_eq(&a, &b));
+            let kept = Arc::as_ptr(&b);
+            drop((a, b));
+            let c = recovery_pool(&second).unwrap();
+            assert_eq!(Arc::as_ptr(&c), kept, "the retired pool is recycled");
+            assert_eq!(c.crash_image().unwrap(), second);
+            assert_eq!(c.load_u64(128).unwrap().0, 6);
+            drop(c);
+            // Another size needs a fresh pool.
+            let other = Pool::new(PoolOpts::with_size(1 << 12))
+                .crash_image()
+                .unwrap();
+            assert_ne!(Arc::as_ptr(&recovery_pool(&other).unwrap()), kept);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -193,8 +193,10 @@ pub(crate) struct Shard {
     touched_flag: Vec<bool>,
     /// Restore epoch: bumped at the end of every pool restore. Granules
     /// stamped with the current epoch are exactly those whose metadata
-    /// changed since the last restore — the O(dirty) working set that delta
-    /// restore copies back and copy-on-write crash images overlay.
+    /// changed since the last restore, plus the overlay granules a
+    /// crash-image reset patched over its base — the O(dirty) working set
+    /// that delta restore copies back and copy-on-write crash images
+    /// overlay.
     epoch: u32,
     /// Per-granule epoch stamp (`0` = never stamped).
     epoch_stamp: Vec<u32>,
@@ -227,14 +229,21 @@ impl Shard {
             self.touched_flag[i] = true;
             self.touched.push(lg);
         }
-        if self.epoch_stamp[i] != self.epoch {
-            self.epoch_stamp[i] = self.epoch;
-            self.epoch_list.push(lg);
-        }
+        self.stamp_epoch(lg);
         self.meta[i] = m;
         if m.state.is_unpersisted() && !self.dirty_flag[i] {
             self.dirty_flag[i] = true;
             self.dirty.push(lg);
+        }
+    }
+
+    /// Stamp `lg` into the current epoch without touching its metadata
+    /// (a crash-image reset patching the granule over the pool's base).
+    pub(crate) fn stamp_epoch(&mut self, lg: u32) {
+        let i = lg as usize;
+        if self.epoch_stamp[i] != self.epoch {
+            self.epoch_stamp[i] = self.epoch;
+            self.epoch_list.push(lg);
         }
     }
 

@@ -16,7 +16,6 @@
 //! destination shard lock(s), so a whole-image reader (holding every lock)
 //! always observes a counter consistent with the metadata it reads.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,9 +30,9 @@ use crate::image::{
 use crate::snapshot::{BaseImage, CrashImage, PoolSnapshot};
 use crate::{GranuleMeta, PersistState, PmemError, SiteTag, ThreadId, CACHE_LINE};
 
-/// Shared base plus granule-keyed overlay — the raw material of a
+/// Shared base plus offset-sorted granule overlay — the raw material of a
 /// copy-on-write [`CrashImage`] capture.
-type CowCapture = (Arc<BaseImage>, BTreeMap<u64, [u8; GRANULE]>);
+type CowCapture = (Arc<BaseImage>, Vec<(u64, [u8; GRANULE])>);
 
 /// Worse of two persistency states: `Dirty` dominates, then `Flushing`.
 fn worst_state(a: PersistState, b: PersistState) -> PersistState {
@@ -222,23 +221,37 @@ pub struct Pool {
     pending_shards: AtomicU64,
     size: usize,
     opts: PoolOpts,
-    /// Persistent base image of the snapshot this pool was last restored
-    /// from (`None` until the first restore). While set, the pool's
-    /// persistent image is guaranteed to differ from the base only at
-    /// granules in the shards' epoch lists, which enables delta restore and
-    /// copy-on-write crash images. Lock order: taken while shard locks are
-    /// held (leaf).
-    base: Mutex<Option<Arc<BaseImage>>>,
+    /// The image this pool sits on. Lock order: taken while shard locks
+    /// are held (leaf).
+    base: Mutex<Base>,
 }
 
-/// How a [`Pool::restore_delta`] call was actually performed.
+/// The shared image a pool sits on. The pool's persistent image differs
+/// from it only at granules in the shards' epoch lists (every persistent
+/// mutation sets metadata on the same granule under the same shard lock),
+/// which is what makes delta resets and copy-on-write crash images
+/// O(dirty).
+#[derive(Debug)]
+struct Base {
+    image: Arc<BaseImage>,
+    /// `true` when, off the epoch lists, the volatile image equals `image`
+    /// too and every granule's metadata is default: a new pool (on the
+    /// all-zero image) or one reset to a crash image. `false` after a
+    /// snapshot restore, where off the epoch lists the pool equals that
+    /// snapshot, whose volatile image and metadata may differ from its
+    /// persistent base.
+    clean: bool,
+}
+
+/// How a [`Pool::restore_delta`] or [`Pool::restore_crash_image`] call
+/// was actually performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreMode {
-    /// Full image copy: first restore of this pool from this snapshot, or
-    /// the dirty set exceeded the caller's threshold.
+    /// Full image copy: the pool did not sit on the source's base yet, or
+    /// the dirty set exceeded the threshold.
     Full,
-    /// Only the granules written since the previous restore were copied
-    /// back.
+    /// Only the granules written since the previous restore (plus, for a
+    /// crash image, its overlay) were copied.
     Delta {
         /// Number of granules copied.
         granules: usize,
@@ -295,7 +308,10 @@ impl Pool {
             pending_shards: AtomicU64::new(0),
             size: opts.size,
             opts,
-            base: Mutex::new(None),
+            base: Mutex::new(Base {
+                image: BaseImage::zeroed(opts.size),
+                clean: true,
+            }),
         };
         pool.run_init_cost();
         pool
@@ -303,31 +319,101 @@ impl Pool {
 
     /// Rebuild a pool from a crash image, as the recovery process would see
     /// it: both images equal the surviving bytes, all granules `Clean`.
+    /// A new pool reset with [`Pool::restore_crash_image`].
     ///
     /// # Errors
     ///
     /// Returns [`PmemError::InvalidImage`] if the image is empty.
     pub fn from_crash_image(img: &CrashImage) -> Result<Self, PmemError> {
-        if img.bytes().is_empty() {
+        if img.size() == 0 {
             return Err(PmemError::InvalidImage {
                 reason: "empty crash image",
             });
         }
-        let size = img.bytes().len();
-        let shards = new_shards(size);
-        {
-            let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(|m| m.lock()).collect();
-            let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
-            scatter_into(&mut refs, img.bytes(), false);
-            scatter_into(&mut refs, img.bytes(), true);
+        let pool = Pool::new(PoolOpts::with_size(img.size()));
+        pool.restore_crash_image(img)?;
+        Ok(pool)
+    }
+
+    /// Reset this pool to the recovery-time view of `img`: both images
+    /// equal the surviving bytes, every granule is `Clean` with default
+    /// metadata, the store counter is 0 and no write-back is queued —
+    /// exactly what [`Pool::from_crash_image`] builds, without the
+    /// allocation.
+    ///
+    /// When the pool already sits on `img`'s base with a clean state (a
+    /// new pool and `img` captured from a never-restored one, or the
+    /// previous reset was to an image on the same base), only the granules
+    /// written since plus `img`'s overlay are copied
+    /// ([`RestoreMode::Delta`]); otherwise, or past a quarter of the pool,
+    /// the base is copied whole and the overlay patched on top
+    /// ([`RestoreMode::Full`]). Either way the pool then sits on `img`'s
+    /// base, so later captures from it stay copy-on-write.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmemError::InvalidImage`] if the image size differs from
+    /// this pool's size.
+    pub fn restore_crash_image(&self, img: &CrashImage) -> Result<RestoreMode, PmemError> {
+        if img.size() != self.size {
+            return Err(PmemError::InvalidImage {
+                reason: "crash image size mismatch",
+            });
         }
-        Ok(Pool {
-            shards,
-            seq: AtomicU64::new(0),
-            pending_shards: AtomicU64::new(0),
-            size,
-            opts: PoolOpts::with_size(size),
-            base: Mutex::new(None),
+        let mut guards = self.lock_all();
+        let mut base = self.base.lock();
+        let src = img.base().bytes();
+        let overlay = img.overlay();
+        let dirty: usize = guards.iter().map(|g| g.epoch_list.len()).sum();
+        let delta = base.clean
+            && base.image.id() == img.base().id()
+            && dirty + overlay.len() <= self.size / GRANULE / 4;
+        for (s, shard) in guards.iter_mut().enumerate() {
+            if delta {
+                for lg in std::mem::take(&mut shard.epoch_list) {
+                    let off = global_granule(s, lg) as usize * GRANULE;
+                    let n = GRANULE.min(self.size - off);
+                    let lb = lg as usize * GRANULE;
+                    shard.volatile[lb..lb + n].copy_from_slice(&src[off..off + n]);
+                    shard.persistent[lb..lb + n].copy_from_slice(&src[off..off + n]);
+                    shard.set_meta(lg, GranuleMeta::default());
+                }
+                shard.pending.clear();
+            } else {
+                shard.clear_tracking();
+            }
+            shard.end_epoch();
+        }
+        if !delta {
+            let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
+            scatter_into(&mut refs, src, false);
+            scatter_into(&mut refs, src, true);
+        }
+        // The overlay granules differ from the base: patch them into both
+        // images and stamp them into the new epoch, so the next reset
+        // copies them back and captures overlay them.
+        for &(off, chunk) in overlay {
+            let g = granule_of(off);
+            let shard = &mut guards[shard_of_granule(g)];
+            let lg = local_granule(g);
+            let n = GRANULE.min(self.size - off as usize);
+            let lb = lg as usize * GRANULE;
+            shard.volatile[lb..lb + n].copy_from_slice(&chunk[..n]);
+            shard.persistent[lb..lb + n].copy_from_slice(&chunk[..n]);
+            shard.stamp_epoch(lg);
+        }
+        self.seq.store(0, Ordering::Relaxed);
+        self.pending_shards.store(0, Ordering::Relaxed);
+        *base = Base {
+            image: Arc::clone(img.base()),
+            clean: true,
+        };
+        Ok(if delta {
+            RestoreMode::Delta {
+                granules: dirty + overlay.len(),
+            }
+        } else {
+            RestoreMode::Full
         })
     }
 
@@ -924,36 +1010,32 @@ impl Pool {
         Ok(CrashImage::from_bytes(gather_from(&refs, self.size, true)))
     }
 
-    /// Copy-on-write capture: when this pool was restored from a snapshot,
-    /// its persistent image differs from the snapshot's base only at epoch-
-    /// listed granules (every persistent-image mutation sets metadata on the
-    /// same granule under the same shard lock), so the current persistent
-    /// bytes of those granules form a complete overlay over the shared base.
-    /// Returns `None` when no base is tracked or the dirty set is denser
+    /// Copy-on-write capture: the pool's persistent image differs from the
+    /// base it sits on only at epoch-listed granules (see [`Base`]), so the
+    /// current persistent bytes of those granules form a complete overlay
+    /// over the shared base. Returns `None` when the dirty set is denser
     /// than half the pool (a plain copy is cheaper then).
     fn cow_overlay(&self, guards: &[MutexGuard<'_, Shard>]) -> Option<CowCapture> {
-        let base = self.base.lock().clone()?;
-        if base.bytes().len() != self.size {
-            return None;
-        }
         let dirty: usize = guards.iter().map(|g| g.epoch_list.len()).sum();
         if dirty * GRANULE > self.size / 2 {
             return None;
         }
-        let mut overlay = BTreeMap::new();
+        let base = Arc::clone(&self.base.lock().image);
+        let mut overlay = Vec::with_capacity(dirty);
         for (s, shard) in guards.iter().enumerate() {
             for &lg in &shard.epoch_list {
                 let lb = lg as usize * GRANULE;
                 let mut chunk = [0u8; GRANULE];
                 chunk.copy_from_slice(&shard.persistent[lb..lb + GRANULE]);
-                overlay.insert(global_granule(s, lg) * GRANULE as u64, chunk);
+                overlay.push((global_granule(s, lg) * GRANULE as u64, chunk));
             }
         }
+        // Epoch lists hold each granule once, so the offsets are unique.
+        overlay.sort_unstable_by_key(|&(off, _)| off);
         Some((base, overlay))
     }
 
-    fn finish_cow(base: Arc<BaseImage>, overlay: BTreeMap<u64, [u8; GRANULE]>) -> CrashImage {
-        let overlay: Vec<(u64, [u8; GRANULE])> = overlay.into_iter().collect();
+    fn finish_cow(base: Arc<BaseImage>, overlay: Vec<(u64, [u8; GRANULE])>) -> CrashImage {
         if telemetry::enabled() {
             telemetry::metrics::record(
                 telemetry::Histogram::CrashImageOverlayBytes,
@@ -979,6 +1061,9 @@ impl Pool {
         }
         let guards = self.lock_all();
         if let Some((base, mut overlay)) = self.cow_overlay(&guards) {
+            // Forced granules outside the epoch set are appended after the
+            // sorted prefix (a few per capture) and sorted in at the end.
+            let sorted = overlay.len();
             for &(off, len) in ranges {
                 if len == 0 {
                     continue;
@@ -986,19 +1071,29 @@ impl Pool {
                 for g in granules(off, len) {
                     let shard = &guards[shard_of_granule(g)];
                     let lb = local_granule(g) as usize * GRANULE;
-                    let chunk = overlay.entry(g * GRANULE as u64).or_insert_with(|| {
-                        let mut c = [0u8; GRANULE];
-                        c.copy_from_slice(&shard.persistent[lb..lb + GRANULE]);
-                        c
-                    });
+                    let g_start = g * GRANULE as u64;
+                    let i = match overlay[..sorted].binary_search_by_key(&g_start, |e| e.0) {
+                        Ok(i) => i,
+                        Err(_) => match overlay[sorted..].iter().position(|e| e.0 == g_start) {
+                            Some(j) => sorted + j,
+                            None => {
+                                let mut c = [0u8; GRANULE];
+                                c.copy_from_slice(&shard.persistent[lb..lb + GRANULE]);
+                                overlay.push((g_start, c));
+                                overlay.len() - 1
+                            }
+                        },
+                    };
                     // Force exactly the requested bytes, not the whole
                     // granule, matching the dense path's byte-exact patch.
-                    let g_start = g * GRANULE as u64;
                     let seg_start = off.max(g_start);
                     let seg_end = (off + len as u64).min(g_start + GRANULE as u64);
                     let (a, b) = ((seg_start - g_start) as usize, (seg_end - g_start) as usize);
-                    chunk[a..b].copy_from_slice(&shard.volatile[lb + a..lb + b]);
+                    overlay[i].1[a..b].copy_from_slice(&shard.volatile[lb + a..lb + b]);
                 }
+            }
+            if overlay.len() > sorted {
+                overlay.sort_unstable_by_key(|&(off, _)| off);
             }
             return Ok(Self::finish_cow(base, overlay));
         }
@@ -1097,11 +1192,10 @@ impl Pool {
             });
         }
         let mut guards = self.lock_all();
-        let restorable = self
-            .base
-            .lock()
-            .as_ref()
-            .is_some_and(|b| b.id() == snap.base_id());
+        let restorable = {
+            let base = self.base.lock();
+            !base.clean && base.image.id() == snap.base_id()
+        };
         let total: usize = guards.iter().map(|g| g.epoch_list.len()).sum();
         if !restorable || total > max_dirty {
             self.restore_full_locked(&mut guards, snap);
@@ -1153,7 +1247,7 @@ impl Pool {
 
     /// Common restore epilogue: close the epoch (the restore's own metadata
     /// writes must not count as post-restore dirt), reset the pool-wide
-    /// counters, and remember the snapshot's base for delta restore and COW
+    /// counters, and sit on the snapshot's base for delta restore and COW
     /// crash images.
     fn finish_restore(&self, guards: &mut [MutexGuard<'_, Shard>], snap: &PoolSnapshot) {
         for shard in guards.iter_mut() {
@@ -1161,7 +1255,10 @@ impl Pool {
         }
         self.seq.store(snap.seq(), Ordering::Relaxed);
         self.pending_shards.store(0, Ordering::Relaxed);
-        *self.base.lock() = Some(Arc::clone(snap.base()));
+        *self.base.lock() = Base {
+            image: Arc::clone(snap.base()),
+            clean: false,
+        };
     }
 }
 
@@ -1380,6 +1477,19 @@ mod tests {
         assert_eq!(p.load_u64(200).unwrap().0, 0);
     }
 
+    /// Dense reference capture built without the overlay path: the
+    /// snapshot's persistent bytes with `ranges` patched from its volatile
+    /// bytes.
+    fn dense_capture(p: &Pool, ranges: &[(u64, usize)]) -> CrashImage {
+        let snap = p.snapshot();
+        let mut bytes = snap.persistent().to_vec();
+        for &(off, len) in ranges {
+            let r = off as usize..off as usize + len;
+            bytes[r.clone()].copy_from_slice(&snap.volatile()[r]);
+        }
+        CrashImage::from_bytes(bytes)
+    }
+
     #[test]
     fn cow_crash_image_equals_dense_capture() {
         let p = pool();
@@ -1387,30 +1497,82 @@ mod tests {
         p.store_u64(64, 1, T0, TAG).unwrap();
         p.persist(64, 8, T0).unwrap();
         let snap = p.snapshot();
-        p.restore(&snap).unwrap(); // enables COW capture
+        p.restore(&snap).unwrap(); // sits on the snapshot's base
         let ops = |q: &Pool| {
             q.store_u64(72, 5, T0, TAG).unwrap();
             q.ntstore_u64(4096, 6, T1, TAG).unwrap();
             q.store_u64(131, 9, T0, TAG).unwrap();
         };
-        // Same ops on a never-restored pool (dense captures) except the
-        // snapshot-time store, replayed to align the images.
+        // Same ops on a never-restored pool (on the all-zero base) except
+        // the snapshot-time store, replayed to align the images.
         fresh.store_u64(64, 1, T0, TAG).unwrap();
         fresh.persist(64, 8, T0).unwrap();
         ops(&p);
         ops(&fresh);
-        let cow = p.crash_image().unwrap();
-        let dense = fresh.crash_image().unwrap();
-        assert!(cow.overlay_bytes() > 0, "capture used the COW path");
-        assert_eq!(dense.overlay_bytes(), 0, "never-restored pool is dense");
-        assert_eq!(cow, dense);
-        assert_eq!(cow.bytes(), dense.bytes());
-        // Forced-persist ranges compose with the overlay byte-exactly.
         let ranges = [(72u64, 8usize), (130, 3)];
-        let cow_f = p.crash_image_persisting(&ranges).unwrap();
-        let dense_f = fresh.crash_image_persisting(&ranges).unwrap();
-        assert_eq!(cow_f, dense_f);
-        assert_eq!(cow_f.load_u64(72).unwrap(), 5);
+        for q in [&p, &fresh] {
+            let cow = q.crash_image().unwrap();
+            let dense = dense_capture(q, &[]);
+            assert!(cow.overlay_bytes() > 0, "capture used the COW path");
+            assert_eq!(dense.overlay_bytes(), 0, "the reference is dense");
+            assert_eq!(cow, dense);
+            assert_eq!(cow.bytes(), dense.bytes());
+            // Forced-persist ranges compose with the overlay byte-exactly.
+            let cow_f = q.crash_image_persisting(&ranges).unwrap();
+            assert_eq!(cow_f, dense_capture(q, &ranges));
+            assert_eq!(cow_f.load_u64(72).unwrap(), 5);
+        }
+        assert_eq!(p.crash_image().unwrap(), fresh.crash_image().unwrap());
+    }
+
+    #[test]
+    fn captures_past_half_the_pool_fall_back_to_dense() {
+        let p = Pool::new(PoolOpts::with_size(4096));
+        p.store(0, &[0xCD; 3000], T0, TAG).unwrap();
+        p.persist(0, 1000, T0).unwrap();
+        let img = p.crash_image().unwrap();
+        assert_eq!(img.overlay_bytes(), 0, "dense past half the pool");
+        assert_eq!(img, dense_capture(&p, &[]));
+        let ranges = [(1000u64, 17usize)];
+        let forced = p.crash_image_persisting(&ranges).unwrap();
+        assert_eq!(forced.overlay_bytes(), 0);
+        assert_eq!(forced, dense_capture(&p, &ranges));
+    }
+
+    #[test]
+    fn restore_crash_image_takes_the_delta_path_on_a_shared_base() {
+        let src = pool();
+        src.ntstore_u64(64, 5, T0, TAG).unwrap();
+        src.store_u64(72, 6, T0, TAG).unwrap(); // lost in the crash
+        let img = src.crash_image().unwrap();
+        // A new pool sits on the same all-zero base as `src`.
+        let rec = pool();
+        assert_eq!(
+            rec.restore_crash_image(&img).unwrap(),
+            RestoreMode::Delta { granules: 2 }
+        );
+        rec.store_u64(4096, 1, T1, TAG).unwrap();
+        assert!(matches!(
+            rec.restore_crash_image(&img).unwrap(),
+            RestoreMode::Delta { .. }
+        ));
+        assert_eq!(rec.load_u64(64).unwrap().0, 5);
+        assert_eq!(rec.load_u64(72).unwrap().0, 0);
+        assert_eq!(rec.load_u64(4096).unwrap().0, 0);
+        assert_eq!(rec.meta_at(4096), GranuleMeta::default());
+        assert_eq!(rec.store_seq(), 0);
+        // A dense image of a foreign base needs the full copy.
+        let foreign = CrashImage::from_bytes(img.bytes().to_vec());
+        assert_eq!(
+            rec.restore_crash_image(&foreign).unwrap(),
+            RestoreMode::Full
+        );
+        assert_eq!(rec.crash_image().unwrap(), img);
+        let small = CrashImage::from_bytes(vec![0; 64]);
+        assert!(matches!(
+            rec.restore_crash_image(&small).unwrap_err(),
+            PmemError::InvalidImage { .. }
+        ));
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //!
 //! Both are built around one sharing primitive: an identity-tagged,
 //! immutable [`BaseImage`]. A [`PoolSnapshot`] holds its persistent bytes
-//! as a `BaseImage`; every pool restored from that snapshot remembers the
-//! base, and crash images captured from such a pool are *copy-on-write* —
-//! an `Arc` of the base plus a sparse overlay of the granules written since
-//! the restore — instead of a pool-sized byte clone per candidate.
+//! as a `BaseImage`, and every pool sits on one: a new pool on the
+//! process-wide all-zero image of its size, a restored pool on its
+//! snapshot's, a pool reset to a crash image on that image's. Crash images
+//! captured from a pool are *copy-on-write* — an `Arc` of the base plus a
+//! sparse overlay of the granules written since — instead of a pool-sized
+//! byte clone per candidate.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 use crate::image::GRANULE;
 use crate::{GranuleMeta, PmemError};
@@ -35,6 +39,22 @@ impl BaseImage {
         })
     }
 
+    /// The process-wide all-zero image of `size` bytes: the base every
+    /// new pool starts on. One per size, kept for the life of the process,
+    /// so captures of equal crash states from different new pools share a
+    /// base id (and a verdict-cache key). The zeroed allocation is never
+    /// written, so its pages stay unbacked.
+    pub(crate) fn zeroed(size: usize) -> Arc<Self> {
+        static ZEROED: OnceLock<Mutex<Vec<Arc<BaseImage>>>> = OnceLock::new();
+        let mut all = ZEROED.get_or_init(Mutex::default).lock();
+        if let Some(base) = all.iter().find(|b| b.bytes.len() == size) {
+            return Arc::clone(base);
+        }
+        let base = BaseImage::new(vec![0; size]);
+        all.push(Arc::clone(&base));
+        base
+    }
+
     pub(crate) fn id(&self) -> u64 {
         self.id
     }
@@ -49,13 +69,17 @@ impl BaseImage {
 /// PMRace duplicates the mmapped pool file at each detected crash point
 /// (§4.4); a `CrashImage` is that duplicate. Recovery code runs against a
 /// [`Pool`](crate::Pool) rebuilt from it via
-/// [`Pool::from_crash_image`](crate::Pool::from_crash_image).
+/// [`Pool::from_crash_image`](crate::Pool::from_crash_image), or against a
+/// recycled pool reset to it with
+/// [`Pool::restore_crash_image`](crate::Pool::restore_crash_image).
 ///
 /// Representation: a shared immutable base plus a sorted sparse overlay of
-/// granule-sized chunks. Images captured from a checkpoint-restored pool
-/// share the checkpoint's base and carry only the granules the campaign
-/// actually wrote; [`CrashImage::from_bytes`] wraps a dense byte vector as
-/// its own base with an empty overlay. Read semantics are byte-identical
+/// granule-sized chunks. Images captured from a pool share the base it
+/// sits on (the checkpoint's persistent image, the crash image it was
+/// reset to, or the all-zero image of a new pool) and carry only the
+/// granules written since; [`CrashImage::from_bytes`] wraps a dense byte
+/// vector as its own base with an empty overlay, and a capture whose dirty
+/// set exceeds half the pool is dense too. Read semantics are byte-identical
 /// either way; dense bytes are materialized lazily (once) only when a
 /// caller needs a contiguous slice.
 #[derive(Debug, Clone)]
@@ -91,6 +115,16 @@ impl CrashImage {
             overlay,
             dense: OnceLock::new(),
         }
+    }
+
+    /// The shared base under the overlay.
+    pub(crate) fn base(&self) -> &Arc<BaseImage> {
+        &self.base
+    }
+
+    /// The sorted granule patches over [`CrashImage::base`].
+    pub(crate) fn overlay(&self) -> &[(u64, [u8; GRANULE])] {
+        &self.overlay
     }
 
     /// Image size in bytes.

@@ -74,6 +74,8 @@ metric_enum! {
     ValidateUnvalidated => "validate.unvalidated",
     ValidateCacheHit => "validate.cache_hit",
     ValidateCacheMiss => "validate.cache_miss",
+    ValidatePoolReuses => "validate.pool_reuses",
+    ValidatePoolFresh => "validate.pool_fresh",
     CheckpointCreates => "checkpoint.creates",
     CheckpointRestores => "checkpoint.restores",
     CheckpointCacheHits => "checkpoint.cache_hits",

@@ -239,12 +239,15 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
     );
     let _ = writeln!(
         out,
-        "  validation: {} runs -> {} bugs, {} fps, {} whitelisted fps, {} unvalidated",
+        "  validation: {} runs -> {} bugs, {} fps, {} whitelisted fps, {} unvalidated; \
+         recovery pools {} reused in place, {} fresh",
         get_u64(&doc, "counters", "validate.runs"),
         get_u64(&doc, "counters", "validate.bugs"),
         get_u64(&doc, "counters", "validate.fps"),
         get_u64(&doc, "counters", "validate.whitelisted_fps"),
         get_u64(&doc, "counters", "validate.unvalidated"),
+        get_u64(&doc, "counters", "validate.pool_reuses"),
+        get_u64(&doc, "counters", "validate.pool_fresh"),
     );
     let restores = get_u64(&doc, "counters", "checkpoint.restores");
     let hits = get_u64(&doc, "counters", "checkpoint.cache_hits");
