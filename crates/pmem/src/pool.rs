@@ -184,20 +184,31 @@ impl LoadInfo {
     }
 }
 
-/// The shard locks covering one multi-line access, with a shard-index →
-/// guard-position table for O(1) lookup while walking the lines.
-struct LineGuards<'a> {
-    guards: Vec<MutexGuard<'a, Shard>>,
-    slot: [u8; N_SHARDS],
+/// The shard locks covering one access. An access within one shard (a
+/// single-line `clwb`, the common case) takes one guard without
+/// allocating; a wider one keeps a shard-index → guard-position table for
+/// O(1) lookup while walking the lines.
+enum LineGuards<'a> {
+    One(MutexGuard<'a, Shard>),
+    Many {
+        guards: Vec<MutexGuard<'a, Shard>>,
+        slot: [u8; N_SHARDS],
+    },
 }
 
 impl LineGuards<'_> {
     fn shard_mut(&mut self, s: usize) -> &mut Shard {
-        &mut self.guards[self.slot[s] as usize]
+        match self {
+            LineGuards::One(guard) => guard,
+            LineGuards::Many { guards, slot } => &mut guards[slot[s] as usize],
+        }
     }
 
     fn shard(&self, s: usize) -> &Shard {
-        &self.guards[self.slot[s] as usize]
+        match self {
+            LineGuards::One(guard) => guard,
+            LineGuards::Many { guards, slot } => &guards[slot[s] as usize],
+        }
     }
 }
 
@@ -455,6 +466,9 @@ impl Pool {
             }
             m
         };
+        if mask.is_power_of_two() {
+            return LineGuards::One(self.shards[mask.trailing_zeros() as usize].lock());
+        }
         let mut slot = [0u8; N_SHARDS];
         let mut guards = Vec::with_capacity(mask.count_ones() as usize);
         for (s, shard) in self.shards.iter().enumerate() {
@@ -463,7 +477,7 @@ impl Pool {
                 guards.push(shard.lock());
             }
         }
-        LineGuards { guards, slot }
+        LineGuards::Many { guards, slot }
     }
 
     fn run_init_cost(&self) {

@@ -13,7 +13,8 @@
 //! 2. **Replay** — [`replay`] re-runs an artifact: a recon campaign
 //!    resolves labels back to this process's sites, then the recorded
 //!    schedule is re-imposed ([`ReplayMode::Strict`] enforces the exact
-//!    access order with a divergence watchdog; [`ReplayMode::Steer`]
+//!    access order and reports divergence once every live driver thread
+//!    waits on a slot the order can no longer reach; [`ReplayMode::Steer`]
 //!    rebuilds the original scheduler deterministically) and the replay
 //!    asserts the recorded [`BugSignature`] fires again.
 //! 3. **Minimize** — [`minimize()`] delta-debugs ([`ddmin`]) the seed

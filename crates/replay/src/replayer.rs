@@ -12,7 +12,9 @@
 //!
 //! * [`ReplayMode::Strict`] re-enforces the *recorded access order* on the
 //!   watched granule with a [`ReplayStrategy`] — byte-for-byte the
-//!   interleaving that exposed the bug, with a divergence watchdog.
+//!   interleaving that exposed the bug. When every live driver thread
+//!   waits on a slot the order can no longer reach, the turnstile reports
+//!   divergence and the campaign finishes ungated.
 //! * [`ReplayMode::Steer`] rebuilds the original conditional-wait scheduler
 //!   ([`PmraceStrategy`]) with the recorded RNG seed and *pinned* skip
 //!   counts (jitter off) — the paper's Fig. 6 mechanism, deterministically
@@ -63,9 +65,6 @@ pub struct ReplayOptions {
     /// points, so a faithfully reproduced interleaving may still need a
     /// couple of observations).
     pub attempts: usize,
-    /// How long a strictly gated access may wait for its turn before the
-    /// replay declares divergence and releases all gates.
-    pub watchdog: Duration,
 }
 
 impl Default for ReplayOptions {
@@ -73,7 +72,6 @@ impl Default for ReplayOptions {
         ReplayOptions {
             mode: ReplayMode::Strict,
             attempts: 4,
-            watchdog: Duration::from_millis(250),
         }
     }
 }
@@ -142,12 +140,16 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
         None
     };
 
+    // The campaign's driver threads: the turnstile's deadlock check is over
+    // these.
+    let threads = seed.threads().len().min(cfg.threads);
     let mut ledger = Ledger::new(spec);
     let mut divergence = None;
     let mut matched = false;
     let mut attempts = 0;
     for attempt in 0..opts.attempts {
-        let (strategy, strict) = match build_strategy(repro, opts, recon.as_ref(), attempt) {
+        let (strategy, strict) = match build_strategy(repro, opts, recon.as_ref(), attempt, threads)
+        {
             Ok(pair) => pair,
             Err(msg) => {
                 // Unresolvable schedule: the finding cannot re-fire.
@@ -207,14 +209,16 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
     })
 }
 
-/// The strategy for one replay attempt, plus the strict-mode handle for
-/// divergence reporting. `Err` carries a human-readable resolution failure.
+/// The strategy for one replay attempt of a campaign with `threads` driver
+/// threads, plus the strict-mode handle for divergence reporting. `Err`
+/// carries a human-readable resolution failure.
 #[allow(clippy::type_complexity)]
 fn build_strategy(
     repro: &Repro,
     opts: &ReplayOptions,
     recon: Option<&CampaignResult>,
     attempt: usize,
+    threads: usize,
 ) -> Result<
     (
         Option<Arc<dyn InterleaveStrategy>>,
@@ -289,7 +293,7 @@ fn build_strategy(
                         tid: e.tid,
                     })
                     .collect();
-                let strict = Arc::new(ReplayStrategy::new(granule_off, events, opts.watchdog));
+                let strict = Arc::new(ReplayStrategy::new(granule_off, events, threads));
                 return Ok((Some(strict.clone()), Some(strict)));
             }
             // Steer (and Strict fallback when no events were captured):
@@ -500,7 +504,6 @@ mod tests {
             &ReplayOptions {
                 mode: ReplayMode::Steer,
                 attempts: 1,
-                ..ReplayOptions::default()
             },
         )
         .unwrap();
@@ -535,13 +538,13 @@ mod tests {
         assert_eq!(plan.store_sites.len(), 1);
         let opts = ReplayOptions::default();
         assert!(
-            build_strategy(&repro, &opts, Some(&missed), 0)
+            build_strategy(&repro, &opts, Some(&missed), 0, 4)
                 .unwrap()
                 .0
                 .is_none(),
             "the first attempt stays free"
         );
-        assert!(build_strategy(&repro, &opts, Some(&missed), 1)
+        assert!(build_strategy(&repro, &opts, Some(&missed), 1, 4)
             .unwrap()
             .0
             .is_some());

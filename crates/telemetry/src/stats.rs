@@ -35,6 +35,28 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+fn fmt_bytes(bytes: u64) -> String {
+    if bytes >= 1 << 20 {
+        format!("{:.1}MiB", bytes as f64 / f64::from(1u32 << 20))
+    } else if bytes >= 1 << 10 {
+        format!("{:.1}KiB", bytes as f64 / 1024.0)
+    } else {
+        format!("{bytes}B")
+    }
+}
+
+/// Render a histogram value in the unit its name ends with: `*_ns` as a
+/// duration, `*_bytes` as a size, anything else as a plain count.
+fn fmt_hist_value(name: &str, v: u64) -> String {
+    if name.ends_with("_ns") {
+        fmt_ns(v)
+    } else if name.ends_with("_bytes") {
+        fmt_bytes(v)
+    } else {
+        v.to_string()
+    }
+}
+
 fn pct(part: u64, whole: u64) -> String {
     if whole == 0 {
         "-".to_string()
@@ -273,7 +295,7 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
         .iter()
         .any(|(_, h)| h.get("count").and_then(Value::as_u64).unwrap_or(0) > 0);
     if any_hist {
-        out.push_str("\n-- latency histograms --\n");
+        out.push_str("\n-- histograms --\n");
         for (name, h) in hists {
             let count = h.get("count").and_then(Value::as_u64).unwrap_or(0);
             if count == 0 {
@@ -287,8 +309,8 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
                 "  {:<16} count {:>10}  mean {:>9}  p99 < {}",
                 name,
                 count,
-                fmt_ns(sum / count.max(1)),
-                fmt_ns(p99_bound),
+                fmt_hist_value(name, sum / count.max(1)),
+                fmt_hist_value(name, p99_bound),
             );
         }
     }
@@ -430,5 +452,18 @@ mod tests {
         assert_eq!(fmt_us(1_500), "1.5ms");
         assert_eq!(fmt_us(2_500_000), "2.50s");
         assert_eq!(fmt_us(42_000_000), "42.0s");
+    }
+
+    #[test]
+    fn histograms_render_in_the_unit_their_name_carries() {
+        assert_eq!(fmt_hist_value("pm.flush_ns", 230), "230ns");
+        assert_eq!(fmt_hist_value("exec.campaign_ns", 36_300_000), "36.3ms");
+        assert_eq!(fmt_hist_value("crash_image.overlay_bytes", 1_229), "1.2KiB");
+        assert_eq!(fmt_hist_value("crash_image.overlay_bytes", 512), "512B");
+        assert_eq!(
+            fmt_hist_value("crash_image.overlay_bytes", 3 << 20),
+            "3.0MiB"
+        );
+        assert_eq!(fmt_hist_value("restore.dirty_lines", 1_229), "1229");
     }
 }

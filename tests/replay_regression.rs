@@ -48,6 +48,25 @@ fn checked_in_corpus_covers_table2_and_the_lockfree_suite() {
     }
 }
 
+/// Two of the three strict artifacts outlive their recorded schedule: the
+/// owner of the cursor's slot (t1) finishes while every other driver
+/// thread waits at a later slot. Their replays must diverge where every
+/// live thread is parked, naming the earliest-parked waiter (t0), and
+/// still re-trigger on the ungated rest of the campaign. Checked on the
+/// corpus replay below rather than by a second replay running beside it.
+const STRICT_DIVERGENCES: [(&str, &str); 2] = [
+    (
+        "Inter:btree.h:560.store_sibling:",
+        "cursor stuck at slot 32/37 (next expected: load btree.h:876.read_sibling by t1); \
+         t0 at btree.h:876.read_sibling",
+    ),
+    (
+        "Inter:clht_lb_res.c:785.swap_ht_off:",
+        "cursor stuck at slot 35/106 (next expected: load clht_lb_res.c:417.read_ht_off by t1); \
+         t0 at clht_lb_res.c:785.swap_ht_off",
+    ),
+];
+
 #[test]
 fn every_corpus_artifact_retriggers_its_bug() {
     let results = replay_corpus(&corpus_dir(), &ReplayOptions::default()).unwrap();
@@ -70,4 +89,16 @@ fn every_corpus_artifact_retriggers_its_bug() {
         results.len(),
         failures.join("\n")
     );
+    for (key_prefix, at) in STRICT_DIVERGENCES {
+        let result = results
+            .iter()
+            .find(|r| r.key.starts_with(key_prefix))
+            .unwrap_or_else(|| panic!("no {key_prefix} artifact in the corpus"));
+        let why = result
+            .divergence
+            .as_deref()
+            .unwrap_or_else(|| panic!("{} replayed without diverging", result.path.display()));
+        assert!(why.starts_with("all live driver threads parked"), "{why}");
+        assert!(why.contains(at), "{why}");
+    }
 }
