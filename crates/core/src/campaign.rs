@@ -272,6 +272,7 @@ pub fn run_campaign(
             let ops = ops.clone();
             let op_errors = Arc::clone(&op_errors);
             let live_on_panic = Arc::clone(&live_workers);
+            let session_on_panic = Arc::clone(&session);
             let live_workers = Arc::clone(&live_workers);
             let barrier = Arc::clone(&barrier);
             let body = move || {
@@ -281,7 +282,7 @@ pub fn run_campaign(
                     // An op boundary is forward progress even when the op
                     // made no store (bounded retry loops giving up): keep
                     // the livelock streak scoped to a single blocked op.
-                    view.spin_reset();
+                    view.begin_op();
                     match target.exec(&view, op) {
                         Ok(_) => {}
                         Err(RtError::Timeout | RtError::Halted) => {
@@ -303,12 +304,20 @@ pub fn run_campaign(
             };
             let job: DriverJob = Box::new(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+                if outcome.is_err() {
+                    // The body never reached its own `thread_done` and
+                    // decrement: report the thread finished to the strategy
+                    // (its peers' waits count live threads) and release the
+                    // agitator's liveness count here too.
+                    session_on_panic.thread_done(ThreadId(t as u32));
+                    live_on_panic.fetch_sub(1, Ordering::AcqRel);
+                }
+                // Release the session before the dispatcher wakes: the next
+                // campaign recycles the pool only when nothing else holds it.
+                drop(session_on_panic);
                 let mut state = barrier.state.lock();
                 state.0 -= 1;
                 if let Err(payload) = outcome {
-                    // The body never reached its own decrement: release the
-                    // agitator's liveness count here too.
-                    live_on_panic.fetch_sub(1, Ordering::AcqRel);
                     state.1 = Some(payload);
                 }
                 if state.0 == 0 {
@@ -545,5 +554,69 @@ mod tests {
         assert_eq!(fresh.op_errors, 0);
         assert_eq!(restored.op_errors, 0);
         assert!(restored.coverage.branches() > 0);
+    }
+
+    #[test]
+    fn campaigns_hand_their_checkpoint_pool_back() {
+        // The next campaign recycles the pool only when no driver still
+        // holds the session once `run_campaign` returns.
+        let spec = target_spec("CCEH").unwrap();
+        let cp = Checkpoint::create(&spec).unwrap();
+        let pool = cp.acquire();
+        let pool_ptr = Arc::as_ptr(&pool);
+        drop(pool);
+        for round in 0..20 {
+            run_campaign(
+                &spec,
+                &insert_seed(4),
+                &CampaignConfig::default(),
+                None,
+                Some(&cp),
+            )
+            .unwrap();
+            let pool = cp.acquire();
+            assert_eq!(
+                Arc::as_ptr(&pool),
+                pool_ptr,
+                "round {round}: pool not recycled"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_driver_is_reported_finished() {
+        // Strategies count live threads (Fig. 6's all-block test, the
+        // replay turnstile): a driver that panics must still end as done.
+        #[derive(Default)]
+        struct PanicOnT1 {
+            done: Mutex<Vec<u32>>,
+        }
+        impl InterleaveStrategy for PanicOnT1 {
+            fn name(&self) -> &'static str {
+                "panic-on-t1"
+            }
+            fn before_op(&self, tid: ThreadId, _: &dyn Fn() -> bool) {
+                assert_ne!(tid, ThreadId(1), "driver t1 panics");
+            }
+            fn thread_done(&self, tid: ThreadId) {
+                self.done.lock().push(tid.0);
+            }
+        }
+        let spec = target_spec("P-CLHT").unwrap();
+        let strategy = Arc::new(PanicOnT1::default());
+        let dyn_strategy: Arc<dyn InterleaveStrategy> = strategy.clone();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign(
+                &spec,
+                &insert_seed(2),
+                &CampaignConfig::default(),
+                Some(dyn_strategy),
+                None,
+            )
+        }));
+        assert!(outcome.is_err(), "the driver's panic reaches the caller");
+        let mut done = strategy.done.lock().clone();
+        done.sort_unstable();
+        assert_eq!(done, [0, 1]);
     }
 }

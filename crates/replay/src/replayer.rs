@@ -28,7 +28,10 @@
 //! produce: their first attempt runs free, and follow-ups steer toward the
 //! signature's own (read, write) pair with [`PmraceStrategy`] — or, while
 //! no attempt has surfaced that pair on a shared granule, perturb the
-//! schedule with random delays.
+//! schedule with random delays. Each follow-up also lets one seed thread
+//! start first ([`LeadFirst`], rotating over the threads that have
+//! operations), since a race that hinges on which thread takes a volatile
+//! lock first is out of reach of every PM access hook.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -36,10 +39,12 @@ use std::time::{Duration, Instant};
 
 use pmrace_core::campaign::CampaignResult;
 use pmrace_core::{run_campaign, CampaignConfig, Ledger, Seed, UniqueBug};
+use pmrace_pmem::ThreadId;
 use pmrace_runtime::strategy::InterleaveStrategy;
 use pmrace_runtime::{site_by_label, site_label, RtError};
 use pmrace_sched::{
-    DelayStrategy, PmraceStrategy, ReplayEvent, ReplayStrategy, SyncPlan, SystematicStrategy,
+    DelayStrategy, LeadFirst, PmraceStrategy, ReplayEvent, ReplayStrategy, SyncPlan,
+    SystematicStrategy,
 };
 use pmrace_telemetry as telemetry;
 
@@ -141,29 +146,35 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
     };
 
     // The campaign's driver threads: the turnstile's deadlock check is over
-    // these.
+    // these, and free follow-ups rotate their lead over those with work.
     let threads = seed.threads().len().min(cfg.threads);
+    let busy: Vec<ThreadId> = seed.threads()[..threads]
+        .iter()
+        .enumerate()
+        .filter(|(_, ops)| !ops.is_empty())
+        .map(|(t, _)| ThreadId(t as u32))
+        .collect();
     let mut ledger = Ledger::new(spec);
     let mut divergence = None;
     let mut matched = false;
     let mut attempts = 0;
     for attempt in 0..opts.attempts {
-        let (strategy, strict) = match build_strategy(repro, opts, recon.as_ref(), attempt, threads)
-        {
-            Ok(pair) => pair,
-            Err(msg) => {
-                // Unresolvable schedule: the finding cannot re-fire.
-                telemetry::add(telemetry::Counter::ReplayDivergences, 1);
-                return Ok(ReplayOutcome {
-                    matched: false,
-                    attempts,
-                    divergence: Some(msg),
-                    bugs: ledger.bugs().into_iter().cloned().collect(),
-                    candidates: ledger.candidate_only_pairs(),
-                    duration: start.elapsed(),
-                });
-            }
-        };
+        let (strategy, strict) =
+            match build_strategy(repro, opts, recon.as_ref(), attempt, threads, &busy) {
+                Ok(pair) => pair,
+                Err(msg) => {
+                    // Unresolvable schedule: the finding cannot re-fire.
+                    telemetry::add(telemetry::Counter::ReplayDivergences, 1);
+                    return Ok(ReplayOutcome {
+                        matched: false,
+                        attempts,
+                        divergence: Some(msg),
+                        bugs: ledger.bugs().into_iter().cloned().collect(),
+                        candidates: ledger.candidate_only_pairs(),
+                        duration: start.elapsed(),
+                    });
+                }
+            };
         let result = {
             let _span = telemetry::span(telemetry::Phase::ReplayAttempt);
             telemetry::add(telemetry::Counter::ReplayAttempts, 1);
@@ -210,8 +221,9 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
 }
 
 /// The strategy for one replay attempt of a campaign with `threads` driver
-/// threads, plus the strict-mode handle for divergence reporting. `Err`
-/// carries a human-readable resolution failure.
+/// threads, `busy` of which have operations, plus the strict-mode handle
+/// for divergence reporting. `Err` carries a human-readable resolution
+/// failure.
 #[allow(clippy::type_complexity)]
 fn build_strategy(
     repro: &Repro,
@@ -219,6 +231,7 @@ fn build_strategy(
     recon: Option<&CampaignResult>,
     attempt: usize,
     threads: usize,
+    busy: &[ThreadId],
 ) -> Result<
     (
         Option<Arc<dyn InterleaveStrategy>>,
@@ -236,9 +249,12 @@ fn build_strategy(
             // the free attempt has missed, steer the follow-ups toward the
             // signature's own (read, write) pair with the Fig. 6
             // scheduler, resolved against a missed attempt that reached
-            // it; until one does, perturb them with random delays.
+            // it; until one does, perturb them with random delays. Either
+            // way one thread starts first, each follow-up the next one:
+            // the OS may keep picking the same winner of a volatile lock
+            // for the whole process.
             Some(recon) if attempt > 0 => {
-                let strategy: Arc<dyn InterleaveStrategy> = match signature_plan(repro, recon) {
+                let mut strategy: Arc<dyn InterleaveStrategy> = match signature_plan(repro, recon) {
                     Some(plan) => Arc::new(PmraceStrategy::with_skips(
                         plan,
                         repro.campaign.threads,
@@ -248,6 +264,10 @@ fn build_strategy(
                     )),
                     None => Arc::new(DelayStrategy::new(FREE_RETRY_DELAY, attempt as u64)),
                 };
+                if busy.len() > 1 {
+                    let lead = busy[(attempt - 1) % busy.len()];
+                    strategy = Arc::new(LeadFirst::new(lead, Some(strategy)));
+                }
                 Ok((Some(strategy), None))
             }
             _ => Ok((None, None)),
@@ -537,19 +557,106 @@ mod tests {
         assert_eq!(plan.load_sites.len(), 1);
         assert_eq!(plan.store_sites.len(), 1);
         let opts = ReplayOptions::default();
+        let busy = [ThreadId(2), ThreadId(3)];
         assert!(
-            build_strategy(&repro, &opts, Some(&missed), 0, 4)
+            build_strategy(&repro, &opts, Some(&missed), 0, 4, &busy)
                 .unwrap()
                 .0
                 .is_none(),
             "the first attempt stays free"
         );
-        assert!(build_strategy(&repro, &opts, Some(&missed), 1, 4)
+        assert!(build_strategy(&repro, &opts, Some(&missed), 1, 4, &busy)
             .unwrap()
             .0
             .is_some());
         // Signatures without a racing pair never resolve a plan.
         repro.signature.kind = "Hang".to_owned();
         assert!(signature_plan(&repro, &missed).is_none());
+    }
+
+    /// memcached-pmem bug 12 (`slabs.c:549` → `slabs.c:412`) fires only
+    /// when t1's insert takes the volatile `cache_lock` before t3's first
+    /// insert. The lock is taken before any PM access, so only the op-start
+    /// order decides it.
+    fn slabs_repro() -> Repro {
+        let seed =
+            Seed::parse("t0: \nt1: insert 257=157\nt2: \nt3: insert 107=143; insert 107=159")
+                .unwrap();
+        let sig = BugSignature {
+            kind: "Inter".to_owned(),
+            write_label: "slabs.c:549.store_next".to_owned(),
+            read_label: "slabs.c:412.read_next".to_owned(),
+            effect_label: "slabs.c:412.store_it_flags".to_owned(),
+        };
+        free_repro("memcached-pmem", seed, sig, 3_000_000)
+    }
+
+    /// Run one campaign of `repro` under `strategy`: did its signature
+    /// fire, and what did the campaign produce?
+    fn run_once(
+        repro: &Repro,
+        strategy: Option<Arc<dyn InterleaveStrategy>>,
+    ) -> (bool, CampaignResult) {
+        pmrace_targets::register_builtins();
+        let spec = pmrace_api::resolve_target_or_err(&repro.target).unwrap();
+        let seed = Seed::parse(&repro.seed_text).unwrap();
+        let cfg = CampaignConfig {
+            threads: repro.campaign.threads,
+            deadline: repro.deadline(),
+            ..CampaignConfig::default()
+        };
+        let result = run_campaign(&spec, &seed, &cfg, strategy, None).unwrap();
+        let mut ledger = Ledger::new(spec);
+        let _ = ledger.ingest_with_seed(&result, Duration::ZERO, Some(&seed));
+        let bugs: Vec<UniqueBug> = ledger.bugs().into_iter().cloned().collect();
+        let fired =
+            repro
+                .signature
+                .matches(&bugs, &ledger.candidate_only_pairs(), ledger.bug_triples());
+        (fired, result)
+    }
+
+    fn lead(t: u32) -> Option<Arc<dyn InterleaveStrategy>> {
+        Some(Arc::new(LeadFirst::new(ThreadId(t), None)))
+    }
+
+    #[test]
+    fn the_lead_thread_decides_a_volatile_lock_race() {
+        let repro = slabs_repro();
+        for round in 0..5 {
+            assert!(run_once(&repro, lead(1)).0, "round {round}: t1 led, no bug");
+            assert!(!run_once(&repro, lead(3)).0, "round {round}: t3 led, bug");
+        }
+    }
+
+    #[test]
+    fn follow_ups_of_a_missed_free_attempt_rotate_the_lead() {
+        // A free attempt in which t3 took the lock first missed; the
+        // follow-ups built from it let t1, t3, t1 lead in turn.
+        let repro = slabs_repro();
+        let (fired, missed) = run_once(&repro, lead(3));
+        assert!(!fired);
+        let busy = [ThreadId(1), ThreadId(3)];
+        for round in 0..3 {
+            for (attempt, fires) in [(1, true), (2, false), (3, true)] {
+                let (strategy, _) = build_strategy(
+                    &repro,
+                    &ReplayOptions::default(),
+                    Some(&missed),
+                    attempt,
+                    4,
+                    &busy,
+                )
+                .unwrap();
+                let (fired, result) = run_once(&repro, strategy);
+                // The follow-ups add random delays: on a loaded host t1 can
+                // sleep in one long enough, holding the lock, for t3's spin
+                // to latch a hang, and the campaign ends before the read.
+                assert!(
+                    fired == fires || result.findings.hang,
+                    "round {round}, attempt {attempt}: fired {fired}"
+                );
+            }
+        }
     }
 }

@@ -93,6 +93,15 @@ pub trait InterleaveStrategy: Send + Sync {
         let _ = tid;
     }
 
+    /// Called by a driver thread before each target operation, before the
+    /// operation takes any lock or touches PM. A strategy may hold the
+    /// thread here to order operation starts; volatile locks taken inside
+    /// an operation are invisible to every other hook. Any wait must poll
+    /// `cancelled`.
+    fn before_op(&self, tid: ThreadId, cancelled: &dyn Fn() -> bool) {
+        let _ = (tid, cancelled);
+    }
+
     /// Called when a driver thread finished its operation sequence.
     /// Schedulers use this to track how many threads are still live (the
     /// "all threads block" detection of Fig. 6 is over live threads).

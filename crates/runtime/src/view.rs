@@ -164,7 +164,7 @@ impl PmView {
     /// reach it changes.
     ///
     /// The streak is meant to accumulate inside a *single* blocked
-    /// operation; drivers call [`PmView::spin_reset`] between operations so
+    /// operation; drivers call [`PmView::begin_op`] between operations so
     /// bounded retry loops that give up (e.g. a consumer re-polling an
     /// empty lock-free stack) are not mistaken for a hang.
     ///
@@ -209,18 +209,26 @@ impl PmView {
         Ok(())
     }
 
-    /// Declare spin-loop forward progress that is not a PM store: reset
-    /// this view's livelock streak.
+    /// Operation boundary: the campaign driver calls this before each
+    /// target operation. Reports the boundary to the strategy
+    /// ([`InterleaveStrategy::before_op`]) and resets this view's livelock
+    /// streak, since finishing an operation is forward progress even when
+    /// it made no PM store.
     ///
-    /// A true livelock keeps one thread inside one spin loop forever, so
-    /// the campaign driver calls this between target operations. Without
-    /// the reset, a *bounded* retry loop that legitimately gives up
+    /// A true livelock keeps one thread inside one spin loop forever.
+    /// Without the reset, a *bounded* retry loop that legitimately gives up
     /// (returns "empty"/"contended" after N yields) would accumulate
     /// streak across consecutive store-free operations — e.g. a consumer
     /// thread draining an already-empty lock-free stack after the
     /// producers finished — and false-trigger the hang latch.
-    pub fn spin_reset(&self) {
+    pub fn begin_op(&self) {
         self.spin_streak.set(0);
+        if !self.session.strategy_passive() {
+            let mut buf = self.buf.borrow_mut();
+            let cancelled = || self.session.cancelled();
+            self.cached_strategy(&mut buf)
+                .before_op(self.tid, &cancelled);
+        }
     }
 
     fn ctx<'a>(

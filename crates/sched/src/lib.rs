@@ -25,11 +25,14 @@
 //! wraps any strategy and logs the released access order on the watched
 //! granule into a [`ScheduleLog`], and [`ReplayStrategy`] re-enforces such
 //! a log as a condition-gated total order (see the `pmrace-replay` crate).
+//! [`LeadFirst`] orders the first operations of a free-schedule replay
+//! (one lead thread starts alone) around any other strategy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delay;
+mod lead;
 mod pmrace_strategy;
 mod queue;
 mod record;
@@ -38,6 +41,7 @@ mod skip;
 mod systematic;
 
 pub use delay::DelayStrategy;
+pub use lead::LeadFirst;
 pub use pmrace_strategy::{PmraceStrategy, SyncPlan, SyncTuning};
 pub use queue::{AccessQueue, QueueEntry};
 pub use record::{AccessEvent, RecordingStrategy, ScheduleLog, MAX_RECORDED_EVENTS};
