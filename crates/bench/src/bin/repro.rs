@@ -3,17 +3,16 @@
 //!
 //! ```text
 //! repro [--quick] [--seed N] [--out-dir DIR] [--check-against FILE]
-//!       [--tolerance X] [--min-fleet-scaling X] <experiments...>
+//!       [--tolerance X] <experiments...>
 //! experiments: table1 table2 table3 table4 table5 table6 fig8 fig9 fig10
 //!              eadr hotpath all
 //!     With --check-against, exit 1 unless the hotpath run produces every
 //!     cell named in FILE (the CI schema guard for BENCH_hotpath.json).
-//!     Adding --tolerance X also enforces a one-sided perf band: exit 1 if
-//!     any measured cell falls below the committed ops/sec divided by X
-//!     (X > 1; generous values absorb CI noise, regressions still trip it).
-//!     Adding --min-fleet-scaling X enforces that FILE's committed
-//!     4-worker fleet_execs cell runs at >= X times its 1-worker cell, so
-//!     a regenerated trajectory that lost its fleet scaling cannot land.
+//!     Adding --tolerance X (X >= 1) also gates speed: each cell's ops/sec
+//!     is divided by a reference cell's from the same run, and the run
+//!     exits 1 if any such ratio falls below FILE's ratio divided by X.
+//!     Only cells with at most as many threads as both this host and
+//!     FILE's host have CPUs are judged.
 //!
 //! repro replay [--steer|--free] [--attempts N] [--telemetry-out DIR]
 //!              <artifact.json|corpus-dir>...
@@ -55,7 +54,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--out-dir",
     "--check-against",
     "--tolerance",
-    "--min-fleet-scaling",
 ];
 
 fn positionals(args: &[String]) -> Vec<String> {
@@ -425,10 +423,8 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            // Perf-regression band: each measured cell must reach at least
-            // `committed / tolerance` ops/sec. One-sided on purpose —
-            // getting faster is never a failure — and keyed on the full
-            // (name, threads, lines) coordinate.
+            // Speed gate: ratios to same-run reference cells, so it judges
+            // the code and not the host it runs on.
             if let Some(tol) = flag_value(&args, "--tolerance") {
                 let tol: f64 = match tol.parse() {
                     Ok(t) if t >= 1.0 => t,
@@ -437,84 +433,45 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-                let mut regressed = 0usize;
-                for (name, threads, lines, committed_ops) in baseline {
-                    let Some(cell) = cells.iter().find(|c| {
-                        c.name == name
-                            && c.threads == threads
-                            && (if c.disjoint {
-                                "disjoint"
-                            } else {
-                                "overlapping"
-                            }) == lines
-                    }) else {
-                        continue;
-                    };
-                    let floor = committed_ops / tol;
-                    if cell.ops_per_sec() < floor {
-                        eprintln!(
-                            "[repro] PERF REGRESSION {name} ({threads}T {lines}): \
-                             {:.0} ops/sec < floor {floor:.0} (committed {committed_ops:.0} / {tol})",
-                            cell.ops_per_sec()
-                        );
-                        regressed += 1;
+                let cpus = match hotpath::cpus_in_json(&text) {
+                    Ok(committed_cpus) => committed_cpus.min(hotpath::host_cpus()),
+                    Err(e) => {
+                        eprintln!("[repro] --check-against {committed}: {e}");
+                        std::process::exit(1);
                     }
+                };
+                let checks = match hotpath::ratio_gate(&baseline, &cells, tol, cpus) {
+                    Ok(checks) => checks,
+                    Err(e) => {
+                        eprintln!("[repro] --tolerance: {e}");
+                        std::process::exit(1);
+                    }
+                };
+                for c in &checks {
+                    eprintln!(
+                        "[repro] {} {:<30} {}T {:<11} / {:<14} {:.2} of committed",
+                        if c.passed { "ok  " } else { "SLOW" },
+                        c.name,
+                        c.threads,
+                        c.lines,
+                        c.reference,
+                        c.measured / c.committed,
+                    );
                 }
+                let regressed = checks.iter().filter(|c| !c.passed).count();
                 if regressed > 0 {
                     eprintln!(
-                        "[repro] {regressed} hotpath cells regressed past the tolerance band"
+                        "[repro] PERF REGRESSION: {regressed} of {} hotpath cells fell below \
+                         {committed}'s ratio to their reference / {tol}",
+                        checks.len()
                     );
                     std::process::exit(1);
                 }
-                eprintln!("[repro] hotpath throughput within {tol}x of {committed}");
-            }
-            // Fleet-scaling gate: the committed trajectory must show the
-            // 4-worker fleet_execs cell at >= X times the 1-worker cell.
-            // Evaluated against the committed file, not this run — quick
-            // fleet cells are sub-second and too noisy to gate on, while
-            // the committed JSON comes from full 8-second windows. The
-            // fresh ratio is printed alongside for the curious.
-            if let Some(min) = flag_value(&args, "--min-fleet-scaling") {
-                let min: f64 = match min.parse() {
-                    Ok(m) if m >= 1.0 => m,
-                    _ => {
-                        eprintln!("[repro] --min-fleet-scaling must be a number >= 1.0, got {min}");
-                        std::process::exit(2);
-                    }
-                };
-                let fresh = |threads: usize| {
-                    cells
-                        .iter()
-                        .find(|c| c.name == "fleet_execs" && c.threads == threads)
-                        .map(hotpath::HotpathCell::ops_per_sec)
-                };
-                if let (Some(one), Some(four)) = (fresh(1), fresh(4)) {
-                    if one > 0.0 {
-                        eprintln!("[repro] fleet scaling this run: 4w/1w = {:.2}x", four / one);
-                    }
-                }
-                match hotpath::fleet_scaling_in_json(&text, 4, 1) {
-                    Some(ratio) if ratio >= min => {
-                        eprintln!(
-                            "[repro] fleet scaling committed in {committed}: \
-                             4w/1w = {ratio:.2}x (>= {min}x required)"
-                        );
-                    }
-                    Some(ratio) => {
-                        eprintln!(
-                            "[repro] FLEET SCALING REGRESSION: {committed} commits \
-                             4w/1w = {ratio:.2}x, below the required {min}x"
-                        );
-                        std::process::exit(1);
-                    }
-                    None => {
-                        eprintln!(
-                            "[repro] {committed} lacks fleet_execs cells at 1 and 4 \
-                             workers; cannot enforce --min-fleet-scaling"
-                        );
-                        std::process::exit(1);
-                    }
-                }
+                eprintln!(
+                    "[repro] {} hotpath cells within {tol}x of {committed}'s ratios \
+                     (cells above {cpus} threads measured, not judged)",
+                    checks.len()
+                );
             }
         }
         if quick {
@@ -524,7 +481,7 @@ fn main() {
             let out_dir =
                 flag_value(&args, "--out-dir").map_or_else(|| PathBuf::from("."), PathBuf::from);
             let out = out_dir.join("BENCH_hotpath.json");
-            let json = hotpath::to_json(&cells);
+            let json = hotpath::to_json(&cells, hotpath::host_cpus());
             match std::fs::create_dir_all(&out_dir).and_then(|()| std::fs::write(&out, &json)) {
                 Ok(()) => eprintln!("[repro] wrote {}", out.display()),
                 Err(e) => eprintln!("[repro] could not write {}: {e}", out.display()),

@@ -1,10 +1,18 @@
-//! Contended hot-path throughput meter.
+//! Hot-path micro-benchmark matrix.
 //!
 //! Measures aggregate ops/sec of the instrumentation hot path — raw pool
 //! stores/loads, instrumented stores (store + coverage + trace + stats), and
 //! bare coverage recording — under 1, 4, and 8 threads hammering disjoint or
-//! overlapping cache lines. `repro hotpath` prints the table and emits
-//! `BENCH_hotpath.json` so the numbers become a tracked perf trajectory.
+//! overlapping cache lines, plus single-threaded cells for each Table 1
+//! target's insert path and the campaign outer loop (checkpoint restore,
+//! crash-image capture, memoized validation). `repro hotpath` prints the
+//! table and emits `BENCH_hotpath.json` so the numbers become a tracked
+//! perf trajectory.
+//!
+//! Absolute ops/sec depend on the host, so the regression gate
+//! ([`ratio_gate`]) compares each cell to a reference cell measured in the
+//! same run instead: `pool_store_u64` for the instrumented cells, and
+//! `hash_u64`, a loop that runs no pmrace code, for the rest.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -12,11 +20,13 @@ use std::time::{Duration, Instant};
 
 use pmrace_core::checkpoint::Checkpoint;
 use pmrace_core::validate::validate_sync;
-use pmrace_pmem::{Pool, PoolOpts, RestoreMode, SiteTag, ThreadId, CACHE_LINE, GRANULE};
+use pmrace_pmem::{
+    Pool, PoolOpts, PoolSnapshot, RestoreMode, SiteTag, ThreadId, CACHE_LINE, GRANULE,
+};
 use pmrace_runtime::coverage::{CoverageMap, Persistency};
 use pmrace_runtime::report::SyncUpdateRecord;
 use pmrace_runtime::{site, Session, SessionConfig};
-use pmrace_targets::target_spec;
+use pmrace_targets::{target_spec, Op, TargetSpec};
 use pmrace_telemetry::json::{self, Value};
 
 /// One measured cell of the hot-path matrix.
@@ -35,6 +45,15 @@ pub struct HotpathCell {
 }
 
 impl HotpathCell {
+    /// `disjoint` or `overlapping`, as the JSON spells [`Self::disjoint`].
+    fn lines(&self) -> &'static str {
+        if self.disjoint {
+            "disjoint"
+        } else {
+            "overlapping"
+        }
+    }
+
     /// Aggregate throughput in operations per second.
     #[must_use]
     pub fn ops_per_sec(&self) -> f64 {
@@ -46,6 +65,29 @@ impl HotpathCell {
 /// line so the sharded pool actually spreads lock traffic.
 const LINES_PER_THREAD: u64 = 64;
 const POOL_SIZE: usize = 1 << 20;
+
+/// The reference cell of every cell that runs no instrumentation
+/// (`pool_*`, checkpoint, crash-image and validation cells).
+const REFERENCE: &str = "hash_u64";
+
+/// The same-run reference cell `name`'s ops/sec are divided by in the
+/// regression gate: `pool_store_u64` for the cells that run the
+/// instrumentation (`instr_*`, `granule_cache_hit`, `record_access`, the
+/// per-target cells), [`REFERENCE`] for the others, and `None` for
+/// [`REFERENCE`] itself.
+fn reference_of(name: &str) -> Option<&'static str> {
+    let instrumented = name.starts_with("instr_")
+        || name.starts_with("target_insert_")
+        || name == "granule_cache_hit"
+        || name == "record_access";
+    if name == REFERENCE {
+        None
+    } else if instrumented {
+        Some("pool_store_u64")
+    } else {
+        Some(REFERENCE)
+    }
+}
 
 /// Offset for iteration `i` of thread `t`: private lines when `disjoint`,
 /// one shared set of lines otherwise.
@@ -59,7 +101,8 @@ fn target_off(t: u64, i: u64, disjoint: bool) -> u64 {
 }
 
 /// Runs `per_thread` iterations of `op` on each of `threads` threads behind
-/// a start barrier and returns the aggregate cell.
+/// a start barrier (on the calling thread when `threads` is 1) and returns
+/// the aggregate cell.
 fn contend<F>(name: &str, threads: usize, disjoint: bool, per_thread: u64, op: F) -> HotpathCell
 where
     F: Fn(u64, u64) + Sync,
@@ -77,7 +120,7 @@ where
 }
 
 /// [`contend`] with a per-thread setup stage: `setup(t)` runs *inside* each
-/// spawned thread before the start barrier and its result is handed to every
+/// worker thread before the clock starts and its result is handed to every
 /// `op` call of that thread. This is how per-thread state that is `Send` but
 /// not `Sync` — a [`pmrace_runtime::PmView`] — gets into the workers, exactly
 /// like campaign drivers construct their views in-thread.
@@ -93,6 +136,24 @@ where
     S: Fn(u64) -> W + Sync,
     F: Fn(&W, u64, u64) + Sync,
 {
+    // A single thread runs on the calling thread: it keeps its CPU from
+    // cell to cell, where a fresh thread per run lands on whichever CPU is
+    // free and, on a host whose CPUs run at different speeds, splits a
+    // cell's runs between the two speeds.
+    if threads == 1 {
+        let w = setup(0);
+        let started = Instant::now();
+        for i in 0..per_thread {
+            op(&w, 0, i);
+        }
+        return HotpathCell {
+            name: name.to_owned(),
+            threads,
+            disjoint,
+            ops: per_thread,
+            elapsed: started.elapsed(),
+        };
+    }
     let barrier = Barrier::new(threads + 1);
     let done = AtomicU64::new(0);
     let op = &op;
@@ -126,99 +187,89 @@ where
     }
 }
 
-/// Median of three runs of one cell. Per-access cells finish in tens of
-/// milliseconds, so a single descheduling blip on a busy host can halve a
-/// measurement; the median discards such outliers in both directions while
-/// staying cheap enough to run the whole matrix in seconds.
-fn median3<F: FnMut() -> HotpathCell>(mut run: F) -> HotpathCell {
-    let mut reps = vec![run(), run(), run()];
-    reps.sort_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
-    reps.swap_remove(1)
+/// One cell's measurement, re-runnable.
+type Measure<'a> = Box<dyn FnMut() -> HotpathCell + 'a>;
+
+/// Runs every measurement of `group` `reps` times round-robin and keeps
+/// each one's median run. A descheduling blip can halve a single run, and
+/// the median discards such outliers in both directions. Round-robin
+/// order puts every cell's runs in the same stretches of time as its
+/// reference cell's runs, so a slow phase of the host moves a cell and its
+/// reference together and their ratio stays put.
+fn median_round_robin(mut group: Vec<Measure<'_>>, reps: usize) -> Vec<HotpathCell> {
+    let mut runs: Vec<Vec<HotpathCell>> = group.iter().map(|_| Vec::new()).collect();
+    for _ in 0..reps {
+        for (measure, runs) in group.iter_mut().zip(&mut runs) {
+            runs.push(measure());
+        }
+    }
+    runs.into_iter()
+        .map(|mut runs| {
+            runs.sort_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
+            runs.swap_remove(reps / 2)
+        })
+        .collect()
 }
 
-/// Runs the full hot-path matrix. `quick` shrinks iteration counts for CI.
+/// A session that records coverage, trace and access statistics but
+/// captures no crash images, for the instrumented cells.
+fn bench_session(pool: Pool) -> Arc<Session> {
+    Session::new(
+        Arc::new(pool),
+        SessionConfig {
+            capture_crash_images: false,
+            deadline: Duration::from_secs(600),
+            ..SessionConfig::default()
+        },
+    )
+}
+
+/// Runs the full hot-path matrix: the median of 45 runs of each cell, or
+/// of 9 with `quick` (for CI). Both take runs of the same size, so a quick
+/// run and the full run that wrote the committed file measure the same
+/// thing and differ only in how many runs the median sees.
 #[must_use]
 pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
+    let reps = if quick { 9 } else { 45 };
+    let pool_iters = 50_000;
+    let instr_iters = 20_000;
+    let cov_iters = 100_000;
+
+    // The single-threaded outer-loop cells share the P-CLHT checkpoint.
+    let spec = target_spec("P-CLHT").expect("P-CLHT is a built-in target");
+    let snap = Checkpoint::create(&spec)
+        .expect("checkpoint")
+        .acquire()
+        .snapshot();
+    let fresh_pool = || {
+        let pool = Pool::new(PoolOpts::with_size(snap.volatile().len()));
+        pool.restore(&snap)
+            .expect("snapshot matches its own pool size");
+        pool
+    };
+
     let mut cells = Vec::new();
-    let scale = if quick { 20 } else { 1 };
-    let pool_iters = 1_000_000 / scale;
-    let instr_iters = 200_000 / scale;
-    let cov_iters = 2_000_000 / scale;
-
-    // Fleet scaling: whole-fuzzer aggregate execs/sec (campaigns/sec) at
-    // increasing worker counts, on a fixed wall budget. Campaigns are
-    // scheduler-sleep-bound (the Fig. 6 scheduler parks threads in µs–ms
-    // waits), so a fleet overlaps those sleeps productively even on a
-    // single CPU; this cell is the tracked scaling curve the shared
-    // frontier / sharded ledger / validation pipeline must keep steep.
-    //
-    // These cells run FIRST, before any microbench cell registers its
-    // `site!()`s: instruction-site ids are process-global and handed out
-    // first-come-first-served, so earlier cells shift the ids — and with
-    // them coverage hashes and exploration-plan selection — of everything
-    // that runs after them. Fleet cells at the top see the same site ids a
-    // standalone fuzzing run sees, which is the environment the committed
-    // scaling curve must reproduce. (Measured cost of getting this wrong:
-    // running the fleet cells after the instrumentation cells collapsed
-    // the 4-worker/1-worker ratio from ~2.6x to ~1.5x purely through a
-    // different plan mix.)
-    pmrace_targets::register_builtins();
-    let budget = Duration::from_millis(if quick { 700 } else { 8_000 });
-    for &workers in &[1usize, 2, 4, 8] {
-        let mut cfg = pmrace_core::FuzzConfig::new("FAST-FAIR");
-        cfg.workers = workers;
-        cfg.threads = 2;
-        cfg.max_campaigns = usize::MAX;
-        cfg.wall_budget = budget;
-        cfg.campaign_deadline = Duration::from_millis(400);
-        cfg.rng_seed = 0xF1EE7 ^ workers as u64;
-        let report = pmrace_core::Fuzzer::new(cfg)
-            .expect("FAST-FAIR is registered")
-            .run()
-            .expect("fleet bench run");
-        cells.push(HotpathCell {
-            name: "fleet_execs".to_owned(),
-            threads: workers,
-            disjoint: true,
-            ops: report.campaigns as u64,
-            elapsed: report.elapsed,
-        });
-    }
-
-    // CAS-retry hot path: whole-fuzzer campaigns/sec against a lock-free
-    // target whose control flow is CAS-retry loops rather than locks.
-    // Every failed CAS attempt is a scheduler decision point
-    // (`on_cas_fail` bounded-storm gating), so this cell tracks the
-    // end-to-end cost of retry-aware scheduling as driver threads grow —
-    // the companion curve to `fleet_execs` for the lock-free suite. Runs
-    // up here with the fleet cells for the same site-id pinning reason.
-    pmrace_lockfree::register_lockfree();
-    for &threads in &[2usize, 4] {
-        let mut cfg = pmrace_core::FuzzConfig::new("treiber-stack");
-        cfg.workers = 2;
-        cfg.threads = threads;
-        cfg.max_campaigns = usize::MAX;
-        cfg.wall_budget = budget;
-        cfg.campaign_deadline = Duration::from_millis(400);
-        cfg.rng_seed = 0xCA5 ^ threads as u64;
-        let report = pmrace_core::Fuzzer::new(cfg)
-            .expect("treiber-stack is registered")
-            .run()
-            .expect("cas-retry bench run");
-        cells.push(HotpathCell {
-            name: "cas_retry_execs".to_owned(),
-            threads,
-            disjoint: true,
-            ops: report.campaigns as u64,
-            elapsed: report.elapsed,
-        });
-    }
-
     for &threads in &[1usize, 4, 8] {
         for &disjoint in &[true, false] {
+            let mut group: Vec<Measure<'_>> = Vec::new();
+
+            // The reference for cells that run no instrumentation: a
+            // multiply-rotate hash chain in registers. It runs no pmrace
+            // code and touches no memory, so it moves only with the speed
+            // the host gives this process.
+            group.push(Box::new(move || {
+                contend(REFERENCE, threads, disjoint, pool_iters * 4, |t, i| {
+                    let mut x = i ^ t;
+                    for _ in 0..16 {
+                        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29) ^ t;
+                    }
+                    std::hint::black_box(x);
+                })
+            }));
+
             // Raw pool stores: the pmem shard layer alone.
             let pool = Pool::new(PoolOpts::with_size(POOL_SIZE));
-            cells.push(median3(|| {
+            group.push(Box::new(move || {
                 contend("pool_store_u64", threads, disjoint, pool_iters, |t, i| {
                     pool.store_u64(
                         target_off(t, i, disjoint),
@@ -232,34 +283,26 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
 
             // Raw pool loads.
             let pool = Pool::new(PoolOpts::with_size(POOL_SIZE));
-            cells.push(median3(|| {
+            group.push(Box::new(move || {
                 contend("pool_load_u64", threads, disjoint, pool_iters, |t, i| {
                     pool.load_u64(target_off(t, i, disjoint)).unwrap();
                 })
             }));
 
             // Instrumented stores: pool + coverage + trace + access stats —
-            // the paper's "aggregate store+record" hot path.
-            let session = Session::new(
-                Arc::new(Pool::new(PoolOpts::with_size(POOL_SIZE))),
-                SessionConfig {
-                    capture_crash_images: false,
-                    deadline: Duration::from_secs(600),
-                    ..SessionConfig::default()
-                },
-            );
+            // the paper's "aggregate store+record" hot path. One view per
+            // driver thread, built in-thread exactly like campaign workers
+            // (views are Send, not Sync).
+            let session = bench_session(Pool::new(PoolOpts::with_size(POOL_SIZE)));
             let s_store = site!("hotpath.store");
-            // One view per driver thread, built in-thread exactly like
-            // campaign workers (views are Send, not Sync).
-            let session_ref = &session;
-            cells.push(median3(|| {
+            group.push(Box::new(move || {
                 contend_setup(
                     "instr_store_u64",
                     threads,
                     disjoint,
                     instr_iters,
-                    move |t| session_ref.view(ThreadId(t as u32)),
-                    move |view, t, i| {
+                    |t| session.view(ThreadId(t as u32)),
+                    |view, t, i| {
                         view.store_u64(target_off(t, i, disjoint), i, s_store)
                             .unwrap();
                     },
@@ -273,30 +316,18 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
             // drains the per-thread shadow/coverage buffers. Repeated
             // same-line stores hit the thread's granule slot cache, so the
             // cell shows how much of the per-access tax epoch batching
-            // amortizes away. An earlier version walked a *different* line
-            // on every store: zero intra-epoch locality, nothing for the
-            // write-combining buffer to combine, so it measured
-            // `instr_store_u64` plus pure drain overhead and came out
-            // *slower* than the unbatched cell it was meant to beat.
-            let session = Session::new(
-                Arc::new(Pool::new(PoolOpts::with_size(POOL_SIZE))),
-                SessionConfig {
-                    capture_crash_images: false,
-                    deadline: Duration::from_secs(600),
-                    ..SessionConfig::default()
-                },
-            );
+            // amortizes away.
+            let session = bench_session(Pool::new(PoolOpts::with_size(POOL_SIZE)));
             let s_batch = site!("hotpath.store.batched");
             let s_flush = site!("hotpath.flush.batched");
-            let session_ref = &session;
-            cells.push(median3(|| {
+            group.push(Box::new(move || {
                 contend_setup(
                     "instr_store_batched",
                     threads,
                     disjoint,
                     instr_iters,
-                    move |t| session_ref.view(ThreadId(t as u32)),
-                    move |view, t, i| {
+                    |t| session.view(ThreadId(t as u32)),
+                    |view, t, i| {
                         let off = target_off(t, i / 8, disjoint);
                         view.store_u64(off, i, s_batch).unwrap();
                         if i % 64 == 63 {
@@ -310,28 +341,18 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
             // store is its own epoch and batching never gets a run to
             // combine. Together with `instr_store_u64` (no sync point for
             // the whole cell — the no-drain ceiling) this brackets the
-            // batched cell: batched must land between flush_each (floor)
-            // and plain stores (ceiling), and its distance from each is the
-            // honest measure of what epoch batching buys.
-            let session = Session::new(
-                Arc::new(Pool::new(PoolOpts::with_size(POOL_SIZE))),
-                SessionConfig {
-                    capture_crash_images: false,
-                    deadline: Duration::from_secs(600),
-                    ..SessionConfig::default()
-                },
-            );
+            // batched cell.
+            let session = bench_session(Pool::new(PoolOpts::with_size(POOL_SIZE)));
             let s_wt = site!("hotpath.store.flush_each");
             let s_wt_flush = site!("hotpath.flush.flush_each");
-            let session_ref = &session;
-            cells.push(median3(|| {
+            group.push(Box::new(move || {
                 contend_setup(
                     "instr_store_flush_each",
                     threads,
                     disjoint,
                     instr_iters / 4,
-                    move |t| session_ref.view(ThreadId(t as u32)),
-                    move |view, t, i| {
+                    |t| session.view(ThreadId(t as u32)),
+                    |view, t, i| {
                         let off = target_off(t, i / 8, disjoint);
                         view.store_u64(off, i, s_wt).unwrap();
                         view.persist(off, 8, s_wt_flush).unwrap();
@@ -342,24 +363,16 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
             // Granule-cache hit path: every store of a thread lands on one
             // granule, so after the first access the per-thread slot cache
             // absorbs all metadata work until the next sync point.
-            let session = Session::new(
-                Arc::new(Pool::new(PoolOpts::with_size(POOL_SIZE))),
-                SessionConfig {
-                    capture_crash_images: false,
-                    deadline: Duration::from_secs(600),
-                    ..SessionConfig::default()
-                },
-            );
+            let session = bench_session(Pool::new(PoolOpts::with_size(POOL_SIZE)));
             let s_hit = site!("hotpath.store.granule_hit");
-            let session_ref = &session;
-            cells.push(median3(|| {
+            group.push(Box::new(move || {
                 contend_setup(
                     "granule_cache_hit",
                     threads,
                     disjoint,
                     instr_iters,
-                    move |t| session_ref.view(ThreadId(t as u32)),
-                    move |view, t, i| {
+                    |t| session.view(ThreadId(t as u32)),
+                    |view, t, i| {
                         let off = target_off(t, 0, disjoint);
                         view.store_u64(off, i, s_hit).unwrap();
                     },
@@ -370,96 +383,97 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
             let cov = CoverageMap::new();
             let s0 = site!("hotpath.cov.a");
             let s1 = site!("hotpath.cov.b");
-            let cov_ref = &cov;
-            cells.push(median3(|| {
-                contend(
-                    "record_access",
-                    threads,
-                    disjoint,
-                    cov_iters,
-                    move |t, i| {
-                        let g = target_off(t, i, disjoint) / 8 + i % 8;
-                        let site = if i & 1 == 0 { s0 } else { s1 };
-                        let p = if i & 2 == 0 {
-                            Persistency::Persisted
-                        } else {
-                            Persistency::Unpersisted
-                        };
-                        cov_ref.record_access(g, site, ThreadId(t as u32), p);
-                    },
-                )
+            group.push(Box::new(move || {
+                contend("record_access", threads, disjoint, cov_iters, |t, i| {
+                    let g = target_off(t, i, disjoint) / 8 + i % 8;
+                    let site = if i & 1 == 0 { s0 } else { s1 };
+                    let p = if i & 2 == 0 {
+                        Persistency::Persisted
+                    } else {
+                        Persistency::Unpersisted
+                    };
+                    cov.record_access(g, site, ThreadId(t as u32), p);
+                })
             }));
+
+            if threads == 1 && disjoint {
+                outer_loop_cells(&mut group, &spec, &snap, &fresh_pool);
+            }
+            cells.extend(median_round_robin(group, reps));
         }
+    }
+    cells
+}
+
+/// The single-threaded cells: one insert path per Table 1 target, and the
+/// outer loop's checkpoint restore, crash-image capture and memoized
+/// validation.
+fn outer_loop_cells<'a>(
+    group: &mut Vec<Measure<'a>>,
+    spec: &'a TargetSpec,
+    snap: &'a PoolSnapshot,
+    fresh_pool: &'a (dyn Fn() -> Pool + Sync),
+) {
+    // Per-target operation cost: the target's insert path with the
+    // strategy off (no scheduler waits), cycling over 20 keys so the
+    // structure stays the same size.
+    for target_spec in pmrace_targets::all_targets() {
+        let session = bench_session(Pool::new((target_spec.pool)()));
+        let target = (target_spec.init)(&session).expect("a built-in target formats its pool");
+        let name = format!("target_insert_{}", target_spec.name);
+        group.push(Box::new(move || {
+            contend_setup(
+                &name,
+                1,
+                true,
+                1_000,
+                |_| session.view(ThreadId(0)),
+                |view, _, i| {
+                    let op = Op::Insert {
+                        key: i % 20 + 1,
+                        value: i,
+                    };
+                    std::hint::black_box(target.exec(view, &op).expect("insert"));
+                },
+            )
+        }));
     }
 
     // Checkpoint restore paths — the pmem operations `Checkpoint::acquire`
     // is built from, on a snapshot of the checkpointed P-CLHT image: a
-    // fresh pool per campaign vs reuse.
-    let spec = target_spec("P-CLHT").expect("known target");
-    let snap = Checkpoint::create(&spec)
-        .expect("checkpoint")
-        .acquire()
-        .snapshot();
-    let fresh_pool = || {
-        let pool = Pool::new(PoolOpts::with_size(snap.volatile().len()));
-        pool.restore(&snap)
-            .expect("snapshot matches its own pool size");
-        pool
-    };
-    let fresh_iters = 400 / scale;
-    let start = Instant::now();
-    for _ in 0..fresh_iters {
-        std::hint::black_box(fresh_pool());
-    }
-    cells.push(HotpathCell {
-        name: "checkpoint_restore_fresh".to_owned(),
-        threads: 1,
-        disjoint: true,
-        ops: fresh_iters,
-        elapsed: start.elapsed(),
-    });
-
-    // In-place restore into an existing pool (the campaign-runner reuse
-    // path): same image reset without the pool-sized allocation.
-    let pool = fresh_pool();
-    let start = Instant::now();
-    for _ in 0..fresh_iters {
-        pool.restore(&snap).expect("restore into");
-    }
-    cells.push(HotpathCell {
-        name: "checkpoint_restore_into".to_owned(),
-        threads: 1,
-        disjoint: true,
-        ops: fresh_iters,
-        elapsed: start.elapsed(),
-    });
+    // fresh pool per campaign vs reusing pools.
+    let fresh_iters = 20;
+    // Restores rotate over eight pools: how fast one pool takes a full
+    // restore depends on where the allocator put its shard buffers, which
+    // moved a single-pool cell up to 2.6x from process to process.
+    let pools: Vec<Pool> = (0..8).map(|_| fresh_pool()).collect();
+    group.push(Box::new(move || {
+        contend("checkpoint_restore_into", 1, true, fresh_iters, |_, i| {
+            pools[i as usize % pools.len()]
+                .restore(snap)
+                .expect("restore into");
+        })
+    }));
 
     // Delta restore on a sparse campaign: each iteration dirties 48
     // scattered granules (well under 5% of the pool) and resets them in
     // O(dirty) — the outer-loop fast path.
     let pool = fresh_pool();
     let max_dirty = snap.volatile().len() / GRANULE / 4;
-    let delta_iters = 4_000 / scale;
     let line_count = pool.size() as u64 / CACHE_LINE as u64;
-    let start = Instant::now();
-    for i in 0..delta_iters {
-        for k in 0..48u64 {
-            let off = ((i * 131 + k * 31) % line_count) * CACHE_LINE as u64;
-            pool.store_u64(off, k, ThreadId(0), SiteTag(2)).unwrap();
-        }
-        let mode = pool.restore_delta(&snap, max_dirty).expect("restore_delta");
-        assert!(
-            matches!(mode, RestoreMode::Delta { .. }),
-            "sparse workload stays under the delta threshold, got {mode:?}"
-        );
-    }
-    cells.push(HotpathCell {
-        name: "checkpoint_restore_delta".to_owned(),
-        threads: 1,
-        disjoint: true,
-        ops: delta_iters,
-        elapsed: start.elapsed(),
-    });
+    group.push(Box::new(move || {
+        contend("checkpoint_restore_delta", 1, true, 200, |_, i| {
+            for k in 0..48u64 {
+                let off = ((i * 131 + k * 31) % line_count) * CACHE_LINE as u64;
+                pool.store_u64(off, k, ThreadId(0), SiteTag(2)).unwrap();
+            }
+            let mode = pool.restore_delta(snap, max_dirty).expect("restore_delta");
+            assert!(
+                matches!(mode, RestoreMode::Delta { .. }),
+                "sparse workload stays under the delta threshold, got {mode:?}"
+            );
+        })
+    }));
 
     // Copy-on-write crash-image capture over the same sparse dirty set
     // (the §4.4 capture path, per inconsistency candidate).
@@ -468,27 +482,16 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
         pool.store_u64(k * 10 * CACHE_LINE as u64, k, ThreadId(0), SiteTag(3))
             .unwrap();
     }
-    let cap_iters = 20_000 / scale;
-    let start = Instant::now();
-    for _ in 0..cap_iters {
-        std::hint::black_box(pool.crash_image().expect("crash_image"));
-    }
-    cells.push(HotpathCell {
-        name: "crash_image_capture".to_owned(),
-        threads: 1,
-        disjoint: true,
-        ops: cap_iters,
-        elapsed: start.elapsed(),
-    });
+    group.push(Box::new(move || {
+        contend("crash_image_capture", 1, true, 1_000, |_, _| {
+            std::hint::black_box(pool.crash_image().expect("crash_image"));
+        })
+    }));
 
     // Memoized validation: the verdict-cache hit path. The first call —
     // the cache miss that runs one full recovery execution — is paid
-    // *before* the clock starts: a single multi-millisecond miss would
-    // dominate the quick-mode cell (10k iterations) while vanishing in
-    // the full cell (200k), making the two incomparable and the CI
-    // tolerance band meaningless for this cell.
-    let vpool = fresh_pool();
-    let image = std::sync::Arc::new(vpool.crash_image().expect("crash image"));
+    // here, before any timed run.
+    let image = Arc::new(fresh_pool().crash_image().expect("crash image"));
     let rec = SyncUpdateRecord {
         var_name: "bench.lock".to_owned(),
         var_off: 64,
@@ -497,23 +500,19 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
         store_site: site!("hotpath.validate"),
         new_value: 1,
         tid: ThreadId(0),
-        crash_image: Some(Arc::clone(&image)),
+        crash_image: Some(image),
     };
-    let val_iters = 200_000 / scale;
-    std::hint::black_box(validate_sync(&spec, &rec));
-    let start = Instant::now();
-    for _ in 0..val_iters {
-        std::hint::black_box(validate_sync(&spec, &rec));
-    }
-    cells.push(HotpathCell {
-        name: "validate_cached".to_owned(),
-        threads: 1,
-        disjoint: true,
-        ops: val_iters,
-        elapsed: start.elapsed(),
-    });
-
-    cells
+    std::hint::black_box(validate_sync(spec, &rec));
+    group.push(Box::new(move || {
+        contend("validate_cached", 1, true, 10_000, |_, _| {
+            std::hint::black_box(validate_sync(spec, &rec));
+        })
+    }));
+    group.push(Box::new(move || {
+        contend("checkpoint_restore_fresh", 1, true, fresh_iters, |_, _| {
+            std::hint::black_box(fresh_pool());
+        })
+    }));
 }
 
 /// The distinct cell names of a `BENCH_hotpath.json` document, in order
@@ -572,21 +571,100 @@ pub fn cell_values_in_json(text: &str) -> Result<Vec<(String, usize, String, f64
         .collect()
 }
 
-/// Aggregate `fleet_execs` scaling ratio between two worker counts in a
-/// `BENCH_hotpath.json` document: `ops_per_sec(hi) / ops_per_sec(lo)`.
-/// `None` when either cell is absent (or the low cell is zero). The
-/// `--min-fleet-scaling` CI gate evaluates this on the *committed* file, so
-/// a regenerated trajectory that lost its fleet scaling cannot land.
+/// CPUs this process may run on (1 when the OS cannot tell).
 #[must_use]
-pub fn fleet_scaling_in_json(text: &str, hi: usize, lo: usize) -> Option<f64> {
-    let rows = cell_values_in_json(text).ok()?;
-    let cell = |threads: usize| {
-        rows.iter()
-            .find(|(name, t, _, _)| name == "fleet_execs" && *t == threads)
-            .map(|r| r.3)
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// `"cpus"` of a `BENCH_hotpath.json` document: how many CPUs the host
+/// that wrote it had. Cells with more threads than that ran oversubscribed
+/// there, so [`ratio_gate`] does not judge them.
+///
+/// # Errors
+///
+/// The document is not valid JSON or has no whole-number `"cpus"` field.
+pub fn cpus_in_json(text: &str) -> Result<usize, String> {
+    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    doc.get("cpus")
+        .and_then(Value::as_u64)
+        .map(|n| n as usize)
+        .ok_or_else(|| "no \"cpus\" field".to_owned())
+}
+
+/// One cell judged by [`ratio_gate`].
+#[derive(Debug, Clone)]
+pub struct RatioCheck {
+    /// Cell name.
+    pub name: String,
+    /// Thread count of the cell and of its reference.
+    pub threads: usize,
+    /// `disjoint` or `overlapping`, for the cell and its reference.
+    pub lines: String,
+    /// The reference cell: `pool_store_u64` or `hash_u64`.
+    pub reference: &'static str,
+    /// Committed ops/sec divided by the committed reference's ops/sec.
+    pub committed: f64,
+    /// This run's ops/sec divided by this run's reference's ops/sec.
+    pub measured: f64,
+    /// Whether `measured >= committed / tolerance`.
+    pub passed: bool,
+}
+
+/// The hot-path regression gate. For every committed cell with at most
+/// `cpus` threads (the CPU count of the host that is running, clamped to
+/// the committed file's `"cpus"`), divides the cell's ops/sec by its
+/// reference cell's at the same thread count and line mode, in `baseline`
+/// and in this run's `cells` alike, and fails the cell when this run's
+/// ratio is below the committed ratio / `tolerance`.
+/// One-sided: getting faster never fails. `baseline` is
+/// [`cell_values_in_json`] of the committed file.
+///
+/// # Errors
+///
+/// A gated cell, or its reference, is missing from `baseline` or from
+/// `cells`: a cell that cannot be compared must not pass unchecked.
+pub fn ratio_gate(
+    baseline: &[(String, usize, String, f64)],
+    cells: &[HotpathCell],
+    tolerance: f64,
+    cpus: usize,
+) -> Result<Vec<RatioCheck>, String> {
+    let committed = |name: &str, threads: usize, lines: &str| {
+        baseline
+            .iter()
+            .find(|(n, t, l, _)| n == name && *t == threads && l == lines)
+            .map(|row| row.3)
+            .ok_or_else(|| format!("the baseline has no {name} cell at {threads}T {lines}"))
     };
-    let (hi, lo) = (cell(hi)?, cell(lo)?);
-    (lo > 0.0).then(|| hi / lo)
+    let measured = |name: &str, threads: usize, lines: &str| {
+        cells
+            .iter()
+            .find(|c| c.name == name && c.threads == threads && c.lines() == lines)
+            .map(HotpathCell::ops_per_sec)
+            .ok_or_else(|| format!("this run has no {name} cell at {threads}T {lines}"))
+    };
+    let mut checks = Vec::new();
+    for (name, threads, lines, ops) in baseline {
+        let Some(reference) = reference_of(name) else {
+            continue;
+        };
+        if *threads > cpus {
+            continue;
+        }
+        let committed = ops / committed(reference, *threads, lines)?;
+        let measured = measured(name, *threads, lines)? / measured(reference, *threads, lines)?;
+        checks.push(RatioCheck {
+            name: name.clone(),
+            threads: *threads,
+            lines: lines.clone(),
+            reference,
+            committed,
+            measured,
+            passed: measured >= committed / tolerance,
+        });
+    }
+    Ok(checks)
 }
 
 /// Renders the matrix as an aligned text table.
@@ -596,19 +674,15 @@ pub fn render(cells: &[HotpathCell]) -> String {
         "Hot-path contended throughput (aggregate ops/sec; 64 lines/thread working set)\n",
     );
     out.push_str(&format!(
-        "{:<26} {:>8} {:>12} {:>14} {:>12}\n",
+        "{:<30} {:>8} {:>12} {:>14} {:>12}\n",
         "op", "threads", "lines", "ops/sec", "total ops"
     ));
     for c in cells {
         out.push_str(&format!(
-            "{:<26} {:>8} {:>12} {:>14.0} {:>12}\n",
+            "{:<30} {:>8} {:>12} {:>14.0} {:>12}\n",
             c.name,
             c.threads,
-            if c.disjoint {
-                "disjoint"
-            } else {
-                "overlapping"
-            },
+            c.lines(),
             c.ops_per_sec(),
             c.ops,
         ));
@@ -616,19 +690,19 @@ pub fn render(cells: &[HotpathCell]) -> String {
     out
 }
 
-/// Serializes the matrix as JSON (hand-rolled; the workspace is offline and
-/// carries no serde).
+/// Serializes the matrix, measured on a host with `cpus` CPUs, as JSON
+/// (hand-rolled; the workspace is offline and carries no serde).
 #[must_use]
-pub fn to_json(cells: &[HotpathCell]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"hotpath\",\n  \"unit\": \"ops_per_sec\",\n  \"cells\": [\n",
+pub fn to_json(cells: &[HotpathCell], cpus: usize) -> String {
+    let mut out = format!(
+        "{{\n  \"bench\": \"hotpath\",\n  \"unit\": \"ops_per_sec\",\n  \"cpus\": {cpus},\n  \"cells\": [\n"
     );
     for (i, c) in cells.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"threads\": {}, \"lines\": \"{}\", \"ops\": {}, \"secs\": {:.6}, \"ops_per_sec\": {:.1}}}{}\n",
             c.name,
             c.threads,
-            if c.disjoint { "disjoint" } else { "overlapping" },
+            c.lines(),
             c.ops,
             c.elapsed.as_secs_f64(),
             c.ops_per_sec(),
@@ -643,6 +717,16 @@ pub fn to_json(cells: &[HotpathCell]) -> String {
 mod tests {
     use super::*;
 
+    fn cell(name: &str, threads: usize, disjoint: bool, ops: u64) -> HotpathCell {
+        HotpathCell {
+            name: name.to_owned(),
+            threads,
+            disjoint,
+            ops,
+            elapsed: Duration::from_secs(1),
+        }
+    }
+
     #[test]
     fn matrix_covers_thread_counts_and_modes() {
         let cells = run_matrix(true);
@@ -651,14 +735,15 @@ mod tests {
             assert!(cells.iter().any(|c| c.threads == t && !c.disjoint));
         }
         assert!(cells.iter().all(|c| c.ops > 0));
-        let json = to_json(&cells);
+        let json = to_json(&cells, 8);
         assert!(json.contains("\"bench\": \"hotpath\""));
-        assert!(json.contains("instr_store_u64"));
         assert!(render(&cells).contains("record_access"));
-        // The outer-loop cells ride along and round-trip through the JSON
-        // name extractor the CI schema guard relies on.
+        // The outer-loop and per-target cells ride along and round-trip
+        // through the JSON name extractor the CI schema guard relies on.
         let names = cell_names_in_json(&json).unwrap();
         for required in [
+            REFERENCE,
+            "instr_store_u64",
             "instr_store_batched",
             "instr_store_flush_each",
             "granule_cache_hit",
@@ -666,32 +751,31 @@ mod tests {
             "checkpoint_restore_delta",
             "crash_image_capture",
             "validate_cached",
-            "fleet_execs",
-            "cas_retry_execs",
         ] {
             assert!(names.iter().any(|n| n == required), "missing {required}");
         }
-        // One fleet cell per worker count, each with real campaigns.
-        let fleet: Vec<_> = cells.iter().filter(|c| c.name == "fleet_execs").collect();
-        assert_eq!(
-            fleet.iter().map(|c| c.threads).collect::<Vec<_>>(),
-            [1, 2, 4, 8]
-        );
-        // The fleet cells must stay FIRST in the matrix: site ids are
-        // process-global and first-come-first-served, so any cell running
-        // before them would shift the fuzzer's coverage hashes and plan
-        // mix away from what a standalone run sees.
-        assert_eq!(
-            cells.first().map(|c| c.name.as_str()),
-            Some("fleet_execs"),
-            "fleet cells must run before any site!()-registering microbench"
-        );
-        // One CAS-retry cell per driver-thread count.
-        let cas: Vec<_> = cells
+        // One single-threaded insert cell per Table 1 target.
+        let targets: Vec<_> = cells
             .iter()
-            .filter(|c| c.name == "cas_retry_execs")
+            .filter(|c| c.name.starts_with("target_insert_"))
+            .map(|c| (c.name.as_str(), c.threads))
             .collect();
-        assert_eq!(cas.iter().map(|c| c.threads).collect::<Vec<_>>(), [2, 4]);
+        assert_eq!(
+            targets,
+            [
+                ("target_insert_P-CLHT", 1),
+                ("target_insert_clevel", 1),
+                ("target_insert_CCEH", 1),
+                ("target_insert_FAST-FAIR", 1),
+                ("target_insert_memcached-pmem", 1),
+            ]
+        );
+        // Every cell has its reference in the same run: the run gated
+        // against its own JSON finds every reference and passes.
+        let rows = cell_values_in_json(&json).unwrap();
+        let checks = ratio_gate(&rows, &cells, 1.01, 8).unwrap();
+        assert_eq!(checks.len(), cells.len() - 6, "all but the 6 references");
+        assert!(checks.iter().all(|c| c.passed), "{checks:?}");
     }
 
     #[test]
@@ -712,7 +796,7 @@ mod tests {
                 elapsed: Duration::from_millis(50),
             },
         ];
-        let json = to_json(&cells);
+        let json = to_json(&cells, 2);
         let rows = cell_values_in_json(&json).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, "x_op");
@@ -733,34 +817,109 @@ mod tests {
     }
 
     #[test]
-    fn fleet_scaling_ratio_reads_committed_cells() {
-        let fleet = |threads: usize, ops: u64| HotpathCell {
-            name: "fleet_execs".to_owned(),
-            threads,
-            disjoint: true,
-            ops,
-            elapsed: Duration::from_secs(1),
+    fn ratio_gate_compares_each_cell_to_its_same_run_reference() {
+        // Committed on a 4-CPU host: the instrumented store at half the
+        // pool store, the pool store at a tenth of the reference.
+        let committed = [
+            cell(REFERENCE, 1, true, 1000),
+            cell("pool_store_u64", 1, true, 100),
+            cell("instr_store_u64", 1, true, 50),
+            cell(REFERENCE, 4, true, 4000),
+            cell("pool_store_u64", 4, true, 400),
+        ];
+        let text = to_json(&committed, 4);
+        let rows = cell_values_in_json(&text).unwrap();
+        assert_eq!(cpus_in_json(&text), Ok(4));
+        let gate = |cells: &[HotpathCell], cpus: usize| {
+            ratio_gate(&rows, cells, 1.5, cpus).map(|checks| {
+                checks
+                    .iter()
+                    .map(|c| (c.name.as_str().to_owned(), c.threads, c.passed))
+                    .collect::<Vec<_>>()
+            })
         };
-        let json = to_json(&[fleet(1, 300), fleet(4, 840)]);
-        let ratio = fleet_scaling_in_json(&json, 4, 1).unwrap();
-        assert!((ratio - 2.8).abs() < 1e-6, "got {ratio}");
-        // Missing cells (or an unrelated document) yield None, not a panic.
-        assert!(fleet_scaling_in_json(&json, 8, 1).is_none());
-        assert!(fleet_scaling_in_json("{}", 4, 1).is_none());
+        let pass = |name: &str, threads| (name.to_owned(), threads, true);
+        let fail = |name: &str, threads| (name.to_owned(), threads, false);
+
+        // A host half as fast moves every cell and its reference together.
+        let slow_host = [
+            cell(REFERENCE, 1, true, 500),
+            cell("pool_store_u64", 1, true, 50),
+            cell("instr_store_u64", 1, true, 25),
+        ];
+        assert_eq!(
+            gate(&slow_host, 2),
+            Ok(vec![pass("pool_store_u64", 1), pass("instr_store_u64", 1)])
+        );
+        // Getting faster never fails.
+        let faster = [
+            cell(REFERENCE, 1, true, 1000),
+            cell("pool_store_u64", 1, true, 300),
+            cell("instr_store_u64", 1, true, 290),
+        ];
+        assert_eq!(
+            gate(&faster, 2),
+            Ok(vec![pass("pool_store_u64", 1), pass("instr_store_u64", 1)])
+        );
+        // A 2x slower instrumented store fails; so does a 2x slower pool
+        // store, which makes its dependants look faster.
+        let slow_instr = [
+            cell(REFERENCE, 1, true, 1000),
+            cell("pool_store_u64", 1, true, 100),
+            cell("instr_store_u64", 1, true, 25),
+        ];
+        assert_eq!(
+            gate(&slow_instr, 2),
+            Ok(vec![pass("pool_store_u64", 1), fail("instr_store_u64", 1)])
+        );
+        let slow_pool = [
+            cell(REFERENCE, 1, true, 1000),
+            cell("pool_store_u64", 1, true, 50),
+            cell("instr_store_u64", 1, true, 50),
+        ];
+        assert_eq!(
+            gate(&slow_pool, 2),
+            Ok(vec![fail("pool_store_u64", 1), pass("instr_store_u64", 1)])
+        );
+        // Cells above the CPU clamp are measured but not judged: a 4T cell
+        // on a 2-CPU host is skipped however slow it ran...
+        let oversubscribed = [
+            cell(REFERENCE, 1, true, 1000),
+            cell("pool_store_u64", 1, true, 100),
+            cell("instr_store_u64", 1, true, 50),
+            cell(REFERENCE, 4, true, 4000),
+            cell("pool_store_u64", 4, true, 40),
+        ];
+        assert_eq!(gate(&oversubscribed, 2).unwrap().len(), 2);
+        // ... and judged where the host has the CPUs.
+        assert_eq!(
+            gate(&oversubscribed, 4).unwrap().last(),
+            Some(&fail("pool_store_u64", 4))
+        );
+        // A reference missing from this run or from the baseline is an
+        // error, not a pass.
+        let err = gate(&slow_host[1..], 2).unwrap_err();
+        assert!(err.contains(REFERENCE), "{err}");
+        let no_ref = cell_values_in_json(&to_json(&committed[1..], 4)).unwrap();
+        let err = ratio_gate(&no_ref, &faster, 1.5, 2).unwrap_err();
+        assert!(err.contains("baseline"), "{err}");
+        // So is a gated cell this run lacks.
+        let err = gate(&slow_host[..2], 2).unwrap_err();
+        assert!(err.contains("instr_store_u64"), "{err}");
+        // A baseline without the CPU count of its host is an error too.
+        let no_cpus = text.replace("\"cpus\": 4,", "");
+        assert!(cpus_in_json(&no_cpus).is_err());
     }
 
     #[test]
     fn cell_names_are_extracted_uniquely() {
-        let cell = |name: &str, threads: usize| HotpathCell {
-            name: name.to_owned(),
-            threads,
-            disjoint: true,
-            ops: 10,
-            elapsed: Duration::from_millis(5),
-        };
-        let cells = vec![cell("a_op", 1), cell("a_op", 4), cell("b_op", 1)];
+        let cells = vec![
+            cell("a_op", 1, true, 10),
+            cell("a_op", 4, true, 10),
+            cell("b_op", 1, true, 10),
+        ];
         assert_eq!(
-            cell_names_in_json(&to_json(&cells)).unwrap(),
+            cell_names_in_json(&to_json(&cells, 1)).unwrap(),
             ["a_op", "b_op"]
         );
         assert!(cell_names_in_json("{}").is_err());

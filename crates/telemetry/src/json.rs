@@ -1,10 +1,11 @@
 //! The workspace's one JSON reader and writer.
 //!
 //! The workspace is fully offline (no serde), so every document it reads
-//! or writes — repro artifacts (`pmrace-replay`), `telemetry.json`
-//! snapshots and `trace.jsonl` span traces (this crate), the
-//! `BENCH_hotpath.json` baseline (`pmrace-bench`) — goes through this
-//! module. Choices:
+//! — repro artifacts (`pmrace-replay`), `telemetry.json` snapshots and
+//! `trace.jsonl` span traces (this crate), the `BENCH_hotpath.json`
+//! baseline and the docs tests' reads of it — goes through this module,
+//! and so does every document it writes except `BENCH_hotpath.json`,
+//! which `pmrace-bench` writes one cell per line. Choices:
 //!
 //! - objects keep insertion order (artifacts diff cleanly in review);
 //! - numbers are `f64`, so 64-bit values that may exceed 2^53 (RNG seeds)

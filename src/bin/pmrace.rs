@@ -17,13 +17,15 @@
 //! exploration workers sharing one wait-free coverage frontier and a
 //! sharded cross-worker seed pool: a seed that unlocks coverage on one
 //! worker is evolved by the others within a few campaigns, duplicate
-//! findings are absorbed without a global lock, and campaigns are
-//! scheduler-sleep-bound, so aggregate execs/sec scales near-linearly even
-//! on a single CPU (`repro hotpath`'s `fleet_execs` cells track the curve).
-//! `--workers` defaults to the machine's available parallelism (capped at
-//! 8); pass `--workers 1` for fully deterministic runs — a single worker
-//! executes one campaign at a time with inline validation, so the same
-//! seed always reproduces the same bugs byte for byte.
+//! findings are absorbed without a global lock, and aggregate execs/sec
+//! grows with workers while CPUs are free (perfbench's `fuzz-lockfree-w2`
+//! workload measures it); beyond the CPU count, extra workers only fill
+//! the Fig. 6 scheduler's idle time, worth ~1.3× in all
+//! (docs/PERFORMANCE.md). `--workers` defaults to the machine's available
+//! parallelism (capped at 8); pass `--workers 1` to run one campaign at a
+//! time with inline validation, which makes runs easier to compare, though
+//! not yet a pure function of the seed: thread timing still moves
+//! candidate counts and, under the pmrace strategy, the bugs found.
 //! Each worker draws from its own deterministic RNG stream, so seeded runs
 //! stay replayable; with `--progress`, multi-worker runs print a per-worker
 //! execs/s split. `fuzz --list-targets` prints every
@@ -62,13 +64,10 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Default `--workers`: the machine's available parallelism, capped at 8 —
-/// the largest fleet the tracked `fleet_execs` scaling curve covers, and
-/// past the knee of the curve even on a single CPU (campaigns are
-/// scheduler-sleep-bound, so worker counts beyond the core count still
-/// overlap productively). `--workers 1` is the escape hatch when
-/// bit-for-bit deterministic, replayable runs matter more than throughput:
-/// a single worker drains one campaign at a time and validates inline.
+/// Default `--workers`: the machine's available parallelism, capped at 8.
+/// Workers beyond the CPU count only fill scheduler idle time, which the
+/// event-driven writer stall left little of. `--workers 1` drains one
+/// campaign at a time and validates inline.
 fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get().clamp(1, 8))
 }

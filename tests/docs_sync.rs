@@ -82,3 +82,47 @@ fn readme_links_performance_and_architecture_docs() {
         );
     }
 }
+
+/// docs/PERFORMANCE.md's "Reading `BENCH_hotpath.json`" table names, in
+/// its first column, exactly the cells of the committed
+/// `BENCH_hotpath.json`: no cell goes undocumented and no row outlives its
+/// cell.
+#[test]
+fn performance_doc_cell_table_matches_committed_hotpath_cells() {
+    use pmrace::telemetry::json::{self, Value};
+    let bench = json::parse(&repo_file("BENCH_hotpath.json")).expect("valid JSON");
+    let mut committed: Vec<String> = bench
+        .get("cells")
+        .and_then(Value::as_arr)
+        .expect("a \"cells\" array")
+        .iter()
+        .map(|cell| {
+            let name = cell.get("name").and_then(Value::as_str);
+            name.expect("every cell has a name").to_owned()
+        })
+        .collect();
+    committed.sort();
+    committed.dedup();
+
+    let doc = repo_file("docs/PERFORMANCE.md");
+    let table = doc
+        .split("### Reading `BENCH_hotpath.json`")
+        .nth(1)
+        .expect("docs/PERFORMANCE.md must keep its 'Reading `BENCH_hotpath.json`' table")
+        .split("\n\n")
+        .nth(1)
+        .expect("a table after the heading");
+    let mut documented: Vec<String> = table
+        .lines()
+        .skip(2) // header and separator rows
+        .filter_map(|row| row.split('|').nth(1))
+        .flat_map(|first_column| first_column.split('`').skip(1).step_by(2))
+        .map(str::to_owned)
+        .collect();
+    documented.sort();
+    documented.dedup();
+    assert_eq!(
+        documented, committed,
+        "the cell table in docs/PERFORMANCE.md and the cells of BENCH_hotpath.json differ"
+    );
+}
