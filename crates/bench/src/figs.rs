@@ -142,7 +142,6 @@ pub fn fig10(campaigns: usize, rng_seed: u64) -> String {
                 capture_images: false,
                 max_images: 0,
                 eadr: false,
-                eviction_interval_us: 0,
                 extra_whitelist: Vec::new(),
             };
             let start = Instant::now();

@@ -112,59 +112,6 @@ impl IngestDelta {
     }
 }
 
-/// Pending work between [`Ledger::begin_ingest`] and
-/// [`Ledger::finish_ingest`]: which of a campaign's deduplicated new
-/// detections still need post-failure validation.
-///
-/// Ingestion is split into three phases so the expensive part — recovery
-/// executions — runs *outside* whatever lock guards the ledger:
-/// `begin_ingest` (under the lock) dedupes and reserves index slots,
-/// [`IngestPlan::validate`] (lock-free) runs recovery, and `finish_ingest`
-/// (under the lock) applies verdicts in input order, keeping bug minting
-/// deterministic regardless of validation concurrency.
-#[derive(Debug)]
-pub struct IngestPlan {
-    spec: TargetSpec,
-    elapsed: Duration,
-    /// Indices into `result.findings.inconsistencies` needing validation.
-    incons: Vec<usize>,
-    /// Indices into `result.findings.sync_updates` needing validation.
-    syncs: Vec<usize>,
-    /// Verdicts for `incons[..incons_verdicts.len()]`.
-    incons_verdicts: Vec<Verdict>,
-    /// Verdicts for `syncs[..sync_verdicts.len()]`.
-    sync_verdicts: Vec<Verdict>,
-    new_candidates: Vec<(String, String)>,
-}
-
-impl IngestPlan {
-    /// `true` while some planned record still lacks a verdict; when false,
-    /// [`Ledger::finish_ingest`] is pure bookkeeping and callers can skip
-    /// the unlocked validation window entirely.
-    #[must_use]
-    pub fn needs_validation(&self) -> bool {
-        self.incons_verdicts.len() < self.incons.len()
-            || self.sync_verdicts.len() < self.syncs.len()
-    }
-
-    /// Phase 2 of ingestion: run post-failure validation for every planned
-    /// record. Requires no ledger access, so callers may drop the ledger
-    /// lock around it; `result` must be the same campaign result the plan
-    /// was created from. Idempotent — already-validated records are
-    /// skipped.
-    pub fn validate(&mut self, result: &CampaignResult) {
-        while self.incons_verdicts.len() < self.incons.len() {
-            let rec = &result.findings.inconsistencies[self.incons[self.incons_verdicts.len()]];
-            self.incons_verdicts
-                .push(validate_inconsistency(&self.spec, rec));
-        }
-        while self.sync_verdicts.len() < self.syncs.len() {
-            let upd = &result.findings.sync_updates[self.syncs[self.sync_verdicts.len()]];
-            self.sync_verdicts.push(validate_sync(&self.spec, upd));
-        }
-    }
-}
-
 /// Aggregate detection statistics — the raw material of Tables 3 and 6.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectionStats {
@@ -242,45 +189,24 @@ impl Ledger {
 
     /// [`Ledger::ingest`] with the campaign's seed attached: new unique
     /// bugs carry it in their reports for replay.
+    ///
+    /// One pass: dedup against the ledger's indices, post-failure
+    /// validation of each new inconsistency and sync record (in input
+    /// order, so the recovery runs and minted bugs are the same whoever
+    /// calls), then bug minting. A fleet calls this under its one
+    /// `Mutex<Ledger>`; validation is cheap enough to run there (O(dirty)
+    /// recovery-pool resets, memoized verdicts). A campaign that carries
+    /// nothing new — no new candidate, inconsistency or sync signature, no
+    /// new perf `(checker, site)` key and no first hang, the common case
+    /// once a run has warmed up — returns right after the campaign, hang
+    /// and annotation tallies.
     pub fn ingest_with_seed(
         &mut self,
         result: &CampaignResult,
         elapsed: Duration,
         seed: Option<&crate::Seed>,
     ) -> IngestDelta {
-        match self.begin_ingest(result, elapsed) {
-            Some(plan) => self.finish_ingest(plan, result, seed),
-            None => IngestDelta::default(),
-        }
-    }
-
-    /// Phase 1 of ingestion: dedupe the campaign's findings against the
-    /// ledger's indices and plan which new detections need post-failure
-    /// validation. Cheap (no recovery executions) — designed to run under
-    /// the lock guarding the ledger. Reserving dedup-index slots here means
-    /// a concurrent worker holding an identical detection will not validate
-    /// it a second time.
-    ///
-    /// Returns `None` when the campaign carries nothing new: no new
-    /// candidate, inconsistency or sync signature, no new perf
-    /// `(checker, site)` key and no first hang — the common case once a
-    /// run has warmed up. The campaign, hang and annotation tallies are
-    /// then already updated, and the caller skips validation and
-    /// [`Ledger::finish_ingest`], which would add nothing.
-    pub fn begin_ingest(
-        &mut self,
-        result: &CampaignResult,
-        elapsed: Duration,
-    ) -> Option<IngestPlan> {
-        let mut plan = IngestPlan {
-            spec: self.spec,
-            elapsed,
-            incons: Vec::new(),
-            syncs: Vec::new(),
-            incons_verdicts: Vec::new(),
-            sync_verdicts: Vec::new(),
-            new_candidates: Vec::new(),
-        };
+        let mut delta = IngestDelta::default();
         self.stats.campaigns += 1;
         self.stats.annotations = self.stats.annotations.max(result.annotations.len());
 
@@ -293,11 +219,12 @@ impl Ledger {
                     CandidateKind::Inter => self.stats.inter_candidates += 1,
                     CandidateKind::Intra => self.stats.intra_candidates += 1,
                 }
-                plan.new_candidates.push((w, r));
+                delta.new_candidates.push((w, r));
             }
         }
 
-        for (i, rec) in result.findings.inconsistencies.iter().enumerate() {
+        let mut new_incons = Vec::new();
+        for rec in &result.findings.inconsistencies {
             let w = site_label(rec.candidate.write_site).to_owned();
             let r = site_label(rec.candidate.read_site).to_owned();
             let e = site_label(rec.effect_site).to_owned();
@@ -311,21 +238,21 @@ impl Ledger {
                 }
                 CandidateKind::Intra => self.stats.intra += 1,
             }
-            plan.incons.push(i);
+            new_incons.push(rec);
         }
 
-        for (i, upd) in result.findings.sync_updates.iter().enumerate() {
-            if !self.sync_index.insert(upd.var_name.clone()) {
-                continue;
+        let mut new_syncs = Vec::new();
+        for upd in &result.findings.sync_updates {
+            if self.sync_index.insert(upd.var_name.clone()) {
+                self.stats.sync += 1;
+                new_syncs.push(upd);
             }
-            self.stats.sync += 1;
-            plan.syncs.push(i);
         }
 
         let findings = &result.findings;
-        let nothing_new = plan.new_candidates.is_empty()
-            && plan.incons.is_empty()
-            && plan.syncs.is_empty()
+        let nothing_new = delta.new_candidates.is_empty()
+            && new_incons.is_empty()
+            && new_syncs.is_empty()
             && (self.hang_seen || !findings.hang)
             && findings.perf_issues.iter().all(|issue| {
                 let key = (issue.checker.to_owned(), site_label(issue.site).to_owned());
@@ -335,30 +262,9 @@ impl Ledger {
             if findings.hang {
                 self.stats.hangs += 1;
             }
-            return None;
+            return delta;
         }
-        Some(plan)
-    }
 
-    /// Phase 3 of ingestion: apply the plan's verdicts (in input order, so
-    /// the outcome is independent of validation concurrency), mint new
-    /// unique bugs, and fold in perf/hang findings. Runs validation itself
-    /// for anything [`IngestPlan::validate`] has not covered yet, so
-    /// `begin_ingest` + `finish_ingest` alone is equivalent to
-    /// [`Ledger::ingest`]. `result` must be the same campaign result the
-    /// plan was created from.
-    pub fn finish_ingest(
-        &mut self,
-        mut plan: IngestPlan,
-        result: &CampaignResult,
-        seed: Option<&crate::Seed>,
-    ) -> IngestDelta {
-        plan.validate(result); // no-op when already validated off-lock
-        let elapsed = plan.elapsed;
-        let mut delta = IngestDelta {
-            new_bugs: Vec::new(),
-            new_candidates: std::mem::take(&mut plan.new_candidates),
-        };
         let seed_text = seed.map(crate::Seed::to_text);
         // Write sites that published via CAS (lock-free targets): their
         // reports call out the publication mechanism, since the racy window
@@ -369,8 +275,8 @@ impl Ledger {
             .flat_map(|e| e.cas_sites.iter().map(|&(s, _)| s.id()))
             .collect();
 
-        for (&i, &verdict) in plan.incons.iter().zip(&plan.incons_verdicts) {
-            let rec = &result.findings.inconsistencies[i];
+        for rec in new_incons {
+            let verdict = validate_inconsistency(&self.spec, rec);
             let w = site_label(rec.candidate.write_site).to_owned();
             let r = site_label(rec.candidate.read_site).to_owned();
             let e = site_label(rec.effect_site).to_owned();
@@ -414,8 +320,8 @@ impl Ledger {
             }
         }
 
-        for (&i, &verdict) in plan.syncs.iter().zip(&plan.sync_verdicts) {
-            let upd = &result.findings.sync_updates[i];
+        for upd in new_syncs {
+            let verdict = validate_sync(&self.spec, upd);
             match verdict {
                 Verdict::ValidatedFp => self.stats.sync_validated_fp += 1,
                 Verdict::WhitelistedFp => self.stats.sync_validated_fp += 1,

@@ -60,11 +60,6 @@ pub struct CampaignConfig {
     /// Run under the eADR failure model (§6.6): persistent CPU caches.
     /// Incompatible with checkpoints (a fresh pool is built instead).
     pub eadr: bool,
-    /// Model hardware cache eviction (§2.1: "the persist order depends on
-    /// the eviction order of cache lines"): while the campaign runs, an
-    /// agitator thread persists random dirty granules every this many
-    /// microseconds. `0` disables eviction (deterministic persist order).
-    pub eviction_interval_us: u64,
     /// Extra whitelist rules (site-label substrings) on top of the default
     /// PMDK/checksum rules — the §4.4 knob for application-specific
     /// crash-consistency guarantees.
@@ -79,7 +74,6 @@ impl Default for CampaignConfig {
             capture_images: true,
             max_images: 32,
             eadr: false,
-            eviction_interval_us: 0,
             extra_whitelist: Vec::new(),
         }
     }
@@ -240,28 +234,9 @@ pub fn run_campaign(
 
     let driver_count = seed.threads().len().min(cfg.threads);
     let op_errors = Arc::new(AtomicUsize::new(0));
-    let live_workers = Arc::new(AtomicUsize::new(driver_count));
     let barrier = Arc::new(JobBarrier {
         state: Mutex::new((driver_count, None)),
         done: Condvar::new(),
-    });
-    let agitator = (cfg.eviction_interval_us > 0).then(|| {
-        // Cache-eviction agitator: persists random dirty granules at
-        // the configured rate, modeling hardware write-back that is
-        // not under the program's control. Exits when the last driver
-        // thread finishes. Rare config, so it still gets a fresh thread
-        // instead of a pool slot.
-        let session = Arc::clone(&session);
-        let live_workers = Arc::clone(&live_workers);
-        let interval = Duration::from_micros(cfg.eviction_interval_us);
-        std::thread::spawn(move || {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0xE71C);
-            while live_workers.load(Ordering::Acquire) > 0 && !session.cancelled() {
-                let _ = session.pool().evict_random(&mut rng);
-                std::thread::sleep(interval);
-            }
-        })
     });
     DRIVERS.with(|pool| {
         let mut pool = pool.borrow_mut();
@@ -271,9 +246,7 @@ pub fn run_campaign(
             let target = Arc::clone(&target);
             let ops = ops.clone();
             let op_errors = Arc::clone(&op_errors);
-            let live_on_panic = Arc::clone(&live_workers);
             let session_on_panic = Arc::clone(&session);
-            let live_workers = Arc::clone(&live_workers);
             let barrier = Arc::clone(&barrier);
             let body = move || {
                 let tid = ThreadId(t as u32);
@@ -300,17 +273,14 @@ pub fn run_campaign(
                 // outlive the thread that staged it.
                 view.flush();
                 session.thread_done(tid);
-                live_workers.fetch_sub(1, Ordering::AcqRel);
             };
             let job: DriverJob = Box::new(move || {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
                 if outcome.is_err() {
-                    // The body never reached its own `thread_done` and
-                    // decrement: report the thread finished to the strategy
-                    // (its peers' waits count live threads) and release the
-                    // agitator's liveness count here too.
+                    // The body never reached its own `thread_done`: report
+                    // the thread finished to the strategy (its peers' waits
+                    // count live threads).
                     session_on_panic.thread_done(ThreadId(t as u32));
-                    live_on_panic.fetch_sub(1, Ordering::AcqRel);
                 }
                 // Release the session before the dispatcher wakes: the next
                 // campaign recycles the pool only when nothing else holds it.
@@ -339,9 +309,6 @@ pub fn run_campaign(
             drop(state);
             std::panic::resume_unwind(payload);
         }
-    }
-    if let Some(handle) = agitator {
-        let _ = handle.join();
     }
 
     let coverage = session.coverage_handle();
@@ -461,26 +428,6 @@ mod tests {
         let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
         assert!(res.findings.hang, "leaked lock must surface as a hang");
         assert!(res.op_errors >= 1);
-    }
-
-    #[test]
-    fn eviction_agitator_persists_dirty_data_in_flight() {
-        // With aggressive eviction, some normally-Dirty windows close on
-        // their own: the campaign must still run to completion and the
-        // eviction must not corrupt any data (differential sanity below).
-        let spec = target_spec("P-CLHT").unwrap();
-        let ops: Vec<Op> = (1..=40u64)
-            .flat_map(|k| [Op::Insert { key: k, value: k }, Op::Get { key: k }])
-            .collect();
-        let seed = Seed::from_flat(&ops, 2);
-        let cfg = CampaignConfig {
-            threads: 2,
-            deadline: Duration::from_secs(5),
-            eviction_interval_us: 20,
-            ..CampaignConfig::default()
-        };
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
-        assert_eq!(res.op_errors, 0, "eviction must be transparent to targets");
     }
 
     #[test]

@@ -490,7 +490,6 @@ impl Explorer {
             strategy,
             threads: self.cfg.campaign.threads,
             tuning: self.cfg.tuning,
-            eviction_interval_us: self.cfg.campaign.eviction_interval_us,
             eadr: self.cfg.campaign.eadr,
             deadline: self.cfg.campaign.deadline,
             extra_whitelist: self.cfg.campaign.extra_whitelist.clone(),

@@ -14,10 +14,9 @@
 //! seeded runs stay replayable and recorded repros stay valid.
 //!
 //! Workers share the bug [`Ledger`](crate::Ledger) behind one
-//! `Mutex<Ledger>`: [`Ledger::begin_ingest`](crate::Ledger::begin_ingest)
-//! is cheap dedup under the lock, and the expensive post-failure
-//! validation runs with the lock released, so recovery executions from
-//! different workers stay concurrent.
+//! `Mutex<Ledger>` and ingest each campaign under it with one
+//! [`Ledger::ingest_with_seed`](crate::Ledger::ingest_with_seed) call:
+//! dedup, post-failure validation of the new records and bug minting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -180,17 +179,14 @@ mod tests {
         assert_eq!(got.last(), seeds.last(), "newest kept");
     }
 
-    /// One campaign through the fleet's `Mutex<Ledger>` front the way a
-    /// worker ingests it: validation with the lock released, and no
-    /// `finish_ingest` when `begin_ingest` reports nothing new.
+    /// One campaign through the fleet's `Mutex<Ledger>` the way a worker
+    /// ingests it: one call under the lock.
     fn worker_ingest(
         shared: &Mutex<Ledger>,
         res: &crate::campaign::CampaignResult,
         elapsed: Duration,
-    ) -> Option<crate::bugs::IngestDelta> {
-        let mut plan = shared.lock().begin_ingest(res, elapsed)?;
-        plan.validate(res);
-        Some(shared.lock().finish_ingest(plan, res, None))
+    ) -> crate::bugs::IngestDelta {
+        shared.lock().ingest(res, elapsed)
     }
 
     #[test]
@@ -212,13 +208,12 @@ mod tests {
         plain.ingest(&res, Duration::from_secs(1));
 
         let shared = Mutex::new(Ledger::new(spec));
-        let delta = worker_ingest(&shared, &res, Duration::ZERO)
-            .expect("first campaign has fresh findings");
+        let delta = worker_ingest(&shared, &res, Duration::ZERO);
         assert!(!delta.new_bugs.is_empty());
-        // Identical findings again: counted without a plan.
+        // Identical findings again: counted, nothing new.
         assert!(
-            worker_ingest(&shared, &res, Duration::from_secs(1)).is_none(),
-            "all-duplicate campaign must skip finish_ingest"
+            worker_ingest(&shared, &res, Duration::from_secs(1)).is_empty(),
+            "an all-duplicate campaign adds nothing"
         );
         let ledger = shared.into_inner();
         assert_eq!(ledger.stats(), plain.stats(), "stats must not drift");
@@ -277,12 +272,8 @@ mod tests {
             for _ in 0..4 {
                 let (shared, res, minted) = (&shared, &res, &minted);
                 scope.spawn(move || {
-                    let plan = shared.lock().begin_ingest(res, Duration::ZERO);
-                    if let Some(mut plan) = plan {
-                        plan.validate(res);
-                        let delta = shared.lock().finish_ingest(plan, res, None);
-                        minted.fetch_add(delta.new_bugs.len(), Ordering::Relaxed);
-                    }
+                    let delta = worker_ingest(shared, res, Duration::ZERO);
+                    minted.fetch_add(delta.new_bugs.len(), Ordering::Relaxed);
                 });
             }
         });
@@ -293,58 +284,5 @@ mod tests {
             ledger.bugs().len(),
             "every unique bug must be minted exactly once across workers"
         );
-    }
-
-    #[test]
-    fn deferred_validation_verdicts_match_inline() {
-        // The pipeline's contract: an IngestPlan minted on the exec thread
-        // and validated + finished on a *different* thread (the validator
-        // pool) must yield the same verdicts and the same minted bugs as
-        // the inline path, given the same campaign result.
-        let spec = target_spec("P-CLHT").unwrap();
-        let ops: Vec<Op> = (1..=130u64)
-            .map(|k| Op::Insert { key: k, value: k })
-            .collect();
-        let cfg = CampaignConfig {
-            threads: 1,
-            deadline: Duration::from_secs(5),
-            ..CampaignConfig::default()
-        };
-        let seed = Seed::from_flat(&ops, 1);
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
-
-        let inline = Mutex::new(Ledger::new(spec));
-        let mut plan = inline
-            .lock()
-            .begin_ingest(&res, Duration::ZERO)
-            .expect("fresh findings");
-        plan.validate(&res);
-        let inline_delta = inline.lock().finish_ingest(plan, &res, None);
-
-        let deferred = Mutex::new(Ledger::new(spec));
-        let plan = deferred
-            .lock()
-            .begin_ingest(&res, Duration::ZERO)
-            .expect("fresh findings");
-        let deferred_delta = std::thread::scope(|scope| {
-            let (deferred, res) = (&deferred, &res);
-            scope
-                .spawn(move || {
-                    let mut plan = plan;
-                    plan.validate(res);
-                    deferred.lock().finish_ingest(plan, res, None)
-                })
-                .join()
-                .expect("validator thread")
-        });
-
-        assert_eq!(
-            inline_delta.new_bugs.len(),
-            deferred_delta.new_bugs.len(),
-            "deferred validation must mint the same bugs"
-        );
-        let (a, b) = (inline.into_inner(), deferred.into_inner());
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.bug_triples(), b.bug_triples(), "verdict triples drifted");
     }
 }

@@ -1,8 +1,8 @@
 //! The top-level fuzzer: a fleet of exploration workers over a shared
 //! wait-free coverage frontier, a sharded cross-worker seed pool (see
 //! [`crate::fleet`]) and one shared bug ledger. Coverage merges are
-//! atomic, the ledger lock is held only for cheap dedup and verdict
-//! bookkeeping (post-failure validation runs outside it), and timelines
+//! atomic, each campaign is ingested (dedup, post-failure validation and
+//! bug minting) in one call under the ledger lock, and timelines
 //! accumulate in per-worker buffers merged at shutdown.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,12 +16,11 @@ use pmrace_runtime::RtError;
 use pmrace_sched::SyncTuning;
 use pmrace_telemetry as telemetry;
 
-use crate::bugs::{DetectionStats, IngestDelta, IngestPlan, Ledger, UniqueBug};
+use crate::bugs::{DetectionStats, IngestDelta, Ledger, UniqueBug};
 use crate::campaign::{CampaignConfig, StrategyKind};
 use crate::corpus::CorpusDir;
 use crate::explore::{ExploreConfig, Explorer, StepOutcome};
 use crate::fleet::SharedCorpus;
-use crate::pipeline::{HandoffQueue, ValidationJob};
 
 /// Callback the fuzzer fires when a campaign contributes *new* unique
 /// findings, with the step's full outcome (seed, captured schedule) and the
@@ -75,8 +74,6 @@ pub struct FuzzConfig {
     pub enable_seed_tier: bool,
     /// Per-campaign deadline (hang detection).
     pub campaign_deadline: Duration,
-    /// Scheduler timing knobs.
-    pub tuning: SyncTuning,
     /// Run under the eADR failure model (§6.6). Disables checkpoints.
     pub eadr: bool,
     /// Persist coverage-improving seeds here and reload them on the next
@@ -84,9 +81,6 @@ pub struct FuzzConfig {
     pub corpus_dir: Option<std::path::PathBuf>,
     /// Extra whitelist rules (§4.4) beyond the default PMDK/checksum ones.
     pub extra_whitelist: Vec<String>,
-    /// Cache-eviction agitator interval in µs (0 = off); see
-    /// [`CampaignConfig::eviction_interval_us`].
-    pub eviction_interval_us: u64,
     /// RNG seed for deterministic runs.
     pub rng_seed: u64,
     /// Fired with the step outcome and ledger delta whenever a campaign
@@ -119,11 +113,9 @@ impl FuzzConfig {
             enable_interleaving_tier: true,
             enable_seed_tier: true,
             campaign_deadline: Duration::from_millis(600),
-            tuning: SyncTuning::default(),
             eadr: false,
             corpus_dir: None,
             extra_whitelist: Vec::new(),
-            eviction_interval_us: 0,
             rng_seed: 0xC0FFEE,
             record: None,
             telemetry_dir: None,
@@ -230,11 +222,10 @@ impl Fuzzer {
                 deadline: self.cfg.campaign_deadline,
                 eadr: self.cfg.eadr,
                 extra_whitelist: self.cfg.extra_whitelist.clone(),
-                eviction_interval_us: self.cfg.eviction_interval_us,
                 ..CampaignConfig::default()
             },
             use_checkpoint: self.cfg.use_checkpoint && !self.cfg.eadr,
-            tuning: self.cfg.tuning,
+            tuning: SyncTuning::default(),
             ops_per_thread: self.cfg.ops_per_thread,
             initial_corpus: Vec::new(),
             record_schedules: self.cfg.record.is_some(),
@@ -271,7 +262,7 @@ impl Fuzzer {
         let worker_count = self.cfg.workers.max(1);
         // Fleet state. The frontier is merged into atomically by the
         // explorers themselves, the seed pool is striped per worker, and
-        // the one ledger lock is held only for dedup and bookkeeping.
+        // every worker ingests its campaigns under the one ledger lock.
         let ledger = Mutex::new(Ledger::new(self.spec));
         let frontier = Arc::new(CoverageMap::new());
         let pool = Arc::new(SharedCorpus::new(worker_count));
@@ -282,16 +273,6 @@ impl Fuzzer {
         let corpus_error = Mutex::new(None::<String>);
         let record = self.cfg.record.clone();
         let reporter_stop = std::sync::atomic::AtomicBool::new(false);
-        // Pipelined execution (multi-worker fleets only; one worker
-        // validates inline, the determinism baseline): exec workers run
-        // phase 1 of ingestion (dedup, so first-seen ordering is fixed at
-        // campaign completion) and hand the plan + outcome to a validator
-        // pool over this bounded queue; validators run the recovery
-        // sessions and apply verdicts. The queue is small on purpose — when
-        // validators fall behind, exec workers validate inline rather than
-        // queueing unboundedly.
-        let pipeline: Option<Arc<HandoffQueue<ValidationJob>>> =
-            (worker_count > 1).then(|| Arc::new(HandoffQueue::new(worker_count * 2)));
 
         // Per-worker timeline buffers, merged (and time-sorted) after the
         // scope joins — the workers never contend on a timeline lock.
@@ -305,31 +286,6 @@ impl Fuzzer {
                 let campaigns = &campaigns;
                 scope.spawn(move || progress_loop(start, every, stop, campaigns))
             });
-            // Validator pool: one validator absorbs the validation load of
-            // about four exec workers (validation is a few percent of
-            // campaign CPU).
-            let mut validators = Vec::new();
-            if let Some(queue) = &pipeline {
-                for _ in 0..worker_count.div_ceil(4) {
-                    let queue = Arc::clone(queue);
-                    let ledger = &ledger;
-                    let record = &record;
-                    validators.push(scope.spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            telemetry::metrics::gauge_set(
-                                telemetry::Gauge::ValidateQueueDepth,
-                                queue.depth() as u64,
-                            );
-                            telemetry::metrics::record_duration(
-                                telemetry::Histogram::PipelineQueueNs,
-                                job.enqueued_at.elapsed(),
-                            );
-                            let ValidationJob { plan, out, .. } = job;
-                            validate_and_finish(ledger, plan, &out, record.as_ref());
-                        }
-                    }));
-                }
-            }
             let mut workers = Vec::new();
             for w in 0..worker_count {
                 let ledger = &ledger;
@@ -341,7 +297,6 @@ impl Fuzzer {
                 let corpus_save_errors = &corpus_save_errors;
                 let corpus_error = &corpus_error;
                 let record = &record;
-                let pipeline = &pipeline;
                 let mut cfg = self.explore_config();
                 cfg.initial_corpus = loaded_corpus.clone();
                 let corpus_dir = &corpus_dir;
@@ -392,10 +347,6 @@ impl Fuzzer {
                                 );
                                 if out.new_alias + out.new_branch > 0 {
                                     telemetry::add(telemetry::Counter::FleetFrontierHits, 1);
-                                    // Corpus persistence stays on the exec
-                                    // thread: save failures must be
-                                    // attributed before the outcome moves
-                                    // into a validation job.
                                     if let Some(corpus) = &corpus_dir {
                                         if let Err(e) = corpus.save(&out.seed) {
                                             corpus_save_errors.fetch_add(1, Ordering::Relaxed);
@@ -414,60 +365,16 @@ impl Fuzzer {
                                     alias_pairs: alias,
                                     branches,
                                 });
-                                // Three-phase ingest: dedup on the exec
-                                // thread (all-duplicate campaigns end
-                                // there), then recovery executions and
-                                // verdict application — the expensive part —
-                                // handed to the validator pool; inline only
-                                // when the pipeline is down or its queue is
-                                // full (backpressure).
-                                let plan = ledger.lock().begin_ingest(&out.result, elapsed);
-                                if let Some(plan) = plan {
-                                    match pipeline {
-                                        Some(queue) => {
-                                            let job = ValidationJob {
-                                                plan,
-                                                out,
-                                                enqueued_at: Instant::now(),
-                                            };
-                                            match queue.push(job) {
-                                                Ok(()) => {
-                                                    telemetry::add(
-                                                        telemetry::Counter::PipelineDeferred,
-                                                        1,
-                                                    );
-                                                    telemetry::metrics::gauge_set(
-                                                        telemetry::Gauge::ValidateQueueDepth,
-                                                        queue.depth() as u64,
-                                                    );
-                                                }
-                                                Err(job) => {
-                                                    telemetry::add(
-                                                        telemetry::Counter::PipelineBackpressure,
-                                                        1,
-                                                    );
-                                                    telemetry::add(
-                                                        telemetry::Counter::PipelineInline,
-                                                        1,
-                                                    );
-                                                    validate_and_finish(
-                                                        ledger,
-                                                        job.plan,
-                                                        &job.out,
-                                                        record.as_ref(),
-                                                    );
-                                                }
-                                            }
-                                        }
-                                        None => {
-                                            telemetry::add(telemetry::Counter::PipelineInline, 1);
-                                            validate_and_finish(
-                                                ledger,
-                                                plan,
-                                                &out,
-                                                record.as_ref(),
-                                            );
-                                        }
+                                // The lock guard is a temporary: the record
+                                // sink runs with the ledger released.
+                                let delta = ledger.lock().ingest_with_seed(
+                                    &out.result,
+                                    elapsed,
+                                    Some(&out.seed),
+                                );
+                                if !delta.is_empty() {
+                                    if let Some(sink) = record {
+                                        sink.call(&out, &delta);
                                     }
                                 }
                             }
@@ -484,16 +391,6 @@ impl Fuzzer {
                 if let Ok(local) = h.join() {
                     timeline.extend(local);
                 }
-            }
-            // Exec workers are done: close the hand-off queue so the
-            // validator pool drains every pending job and exits, *then*
-            // tear down the ledger — the drain guarantees no in-flight
-            // verdict is lost at budget exhaustion.
-            if let Some(queue) = &pipeline {
-                queue.close();
-            }
-            for h in validators {
-                let _ = h.join();
             }
             reporter_stop.store(true, Ordering::Release);
             if let Some(h) = reporter {
@@ -544,28 +441,6 @@ impl Fuzzer {
                 .map_err(|e| RtError::Io(format!("telemetry dir {}: {e}", dir.display())))?;
         }
         Ok(report)
-    }
-}
-
-/// Phases 2+3 of campaign ingestion: run the recovery-session validations
-/// the plan calls for (ledger unlocked), fold verdicts into the ledger, and
-/// fire the record sink on fresh findings. Shared by the validator pool
-/// and the inline paths, so both produce identical ledger state for a
-/// given submission order.
-fn validate_and_finish(
-    ledger: &Mutex<Ledger>,
-    mut plan: IngestPlan,
-    out: &StepOutcome,
-    record: Option<&RecordSink>,
-) {
-    plan.validate(&out.result);
-    let delta = ledger
-        .lock()
-        .finish_ingest(plan, &out.result, Some(&out.seed));
-    if !delta.is_empty() {
-        if let Some(sink) = record {
-            sink.call(out, &delta);
-        }
     }
 }
 

@@ -39,14 +39,13 @@ pub mod explore;
 pub mod fleet;
 pub mod fuzzer;
 pub mod mutator;
-pub mod pipeline;
 pub mod report_io;
 pub mod schedule;
 pub mod seed;
 pub mod textgen;
 pub mod validate;
 
-pub use bugs::{BugKind, DetectionStats, IngestDelta, IngestPlan, Ledger, UniqueBug};
+pub use bugs::{BugKind, DetectionStats, IngestDelta, Ledger, UniqueBug};
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult, StrategyKind};
 pub use fleet::SharedCorpus;
 pub use fuzzer::{FuzzConfig, FuzzReport, Fuzzer, RecordSink};

@@ -91,8 +91,6 @@ pub struct ScheduleCapture {
     pub threads: usize,
     /// Scheduler timing knobs in effect.
     pub tuning: SyncTuning,
-    /// Cache-eviction agitator interval (µs, 0 = off).
-    pub eviction_interval_us: u64,
     /// Whether the campaign ran under the eADR failure model.
     pub eadr: bool,
     /// Campaign deadline (hang detection).
@@ -126,7 +124,6 @@ mod tests {
             },
             threads: 2,
             tuning: SyncTuning::default(),
-            eviction_interval_us: 0,
             eadr: false,
             deadline: Duration::from_millis(400),
             extra_whitelist: Vec::new(),

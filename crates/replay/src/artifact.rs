@@ -194,8 +194,6 @@ pub struct CampaignSpec {
     pub deadline_us: u64,
     /// eADR failure model.
     pub eadr: bool,
-    /// Cache-eviction agitator interval (µs, 0 = off).
-    pub eviction_interval_us: u64,
     /// Extra whitelist rules.
     pub extra_whitelist: Vec<String>,
     /// Scheduler timing knobs.
@@ -278,7 +276,6 @@ impl Repro {
                 threads: capture.threads,
                 deadline_us: u64::try_from(capture.deadline.as_micros()).unwrap_or(u64::MAX),
                 eadr: capture.eadr,
-                eviction_interval_us: capture.eviction_interval_us,
                 extra_whitelist: capture.extra_whitelist.clone(),
                 tuning: capture.tuning,
             },
@@ -379,7 +376,9 @@ impl Repro {
                     kv_num("threads", self.campaign.threads as u64),
                     kv_num("deadline_us", self.campaign.deadline_us),
                     ("eadr".to_owned(), Value::Bool(self.campaign.eadr)),
-                    kv_num("eviction_interval_us", self.campaign.eviction_interval_us),
+                    // Kept for format version 1: campaigns no longer run a
+                    // cache-eviction agitator, so this is always 0.
+                    kv_num("eviction_interval_us", 0),
                     str_arr("extra_whitelist", &self.campaign.extra_whitelist),
                     (
                         "tuning".to_owned(),
@@ -441,6 +440,12 @@ impl Repro {
             disable_iters: req_u32(tun, "disable_iters")?,
             skip_jitter: req_u32(tun, "skip_jitter")?,
         };
+        if req_num(camp, "eviction_interval_us")? != 0 {
+            return Err(
+                "'campaign.eviction_interval_us' is not 0: cache-eviction agitation is not supported"
+                    .to_owned(),
+            );
+        }
         let campaign = CampaignSpec {
             threads: usize::try_from(req_num(camp, "threads")?)
                 .map_err(|_| "bad 'campaign.threads'")?,
@@ -449,7 +454,6 @@ impl Repro {
                 .get("eadr")
                 .and_then(Value::as_bool)
                 .ok_or("missing 'campaign.eadr'")?,
-            eviction_interval_us: req_num(camp, "eviction_interval_us")?,
             extra_whitelist: req_str_arr(camp, "extra_whitelist")?,
             tuning,
         };
@@ -599,7 +603,6 @@ mod tests {
                 threads: 2,
                 deadline_us: 400_000,
                 eadr: false,
-                eviction_interval_us: 0,
                 extra_whitelist: vec!["rule".to_owned()],
                 tuning: SyncTuning::default(),
             },
@@ -671,6 +674,18 @@ mod tests {
         let err = Repro::from_json(&text).unwrap_err();
         assert!(err.contains("unsupported repro version"), "{err}");
         assert!(err.contains(&format!("{}", REPRO_VERSION + 1)), "{err}");
+    }
+
+    #[test]
+    fn eviction_agitation_is_rejected() {
+        let text = sample().to_json();
+        assert!(text.contains("\"eviction_interval_us\": 0"), "{text}");
+        let err = Repro::from_json(&text.replace(
+            "\"eviction_interval_us\": 0",
+            "\"eviction_interval_us\": 20",
+        ))
+        .unwrap_err();
+        assert!(err.contains("eviction_interval_us"), "{err}");
     }
 
     #[test]

@@ -653,7 +653,6 @@ pub fn build_recipe(recipe: &Recipe, store: &ReproStore) -> Result<BuiltRepro, R
         strategy: StrategyCapture::None,
         threads: cfg.threads,
         tuning: SyncTuning::default(),
-        eviction_interval_us: cfg.eviction_interval_us,
         eadr: cfg.eadr,
         deadline: cfg.deadline,
         extra_whitelist: cfg.extra_whitelist.clone(),

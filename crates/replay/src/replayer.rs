@@ -130,7 +130,6 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
         capture_images: true,
         max_images: 32,
         eadr: repro.campaign.eadr,
-        eviction_interval_us: repro.campaign.eviction_interval_us,
         extra_whitelist: repro.campaign.extra_whitelist.clone(),
     };
 
@@ -426,7 +425,6 @@ mod tests {
                 threads: seed.num_threads(),
                 deadline_us,
                 eadr: false,
-                eviction_interval_us: 0,
                 extra_whitelist: Vec::new(),
                 tuning: SyncTuning::default(),
             },

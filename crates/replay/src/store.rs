@@ -145,7 +145,6 @@ mod tests {
                 threads: 1,
                 deadline_us: 1000,
                 eadr: false,
-                eviction_interval_us: 0,
                 extra_whitelist: Vec::new(),
                 tuning: SyncTuning::default(),
             },

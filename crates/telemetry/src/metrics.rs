@@ -82,9 +82,6 @@ metric_enum! {
     FleetSteals => "fleet.steals",
     FleetSharedSeeds => "fleet.shared_seeds",
     FleetFrontierHits => "fleet.frontier_hits",
-    PipelineDeferred => "pipeline.deferred",
-    PipelineInline => "pipeline.inline",
-    PipelineBackpressure => "pipeline.backpressure",
     RecordCaptures => "record.captures",
     ReplayAttempts => "replay.attempts",
     ReplayMatches => "replay.matches",
@@ -100,7 +97,6 @@ metric_enum! {
     CovBranches => "cov.branches",
     FuzzWorkers => "fuzz.workers",
     QueueDepth => "plan.queue_depth",
-    ValidateQueueDepth => "validate.queue_depth",
 }
 
 metric_enum! {
@@ -113,7 +109,6 @@ metric_enum! {
     CampaignNs => "exec.campaign_ns",
     RestoreDirtyLines => "restore.dirty_lines",
     CrashImageOverlayBytes => "crash_image.overlay_bytes",
-    PipelineQueueNs => "pipeline.queue_ns",
     SchedWriterStallNs => "sched.writer_stall_ns",
 }
 

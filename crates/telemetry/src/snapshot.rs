@@ -2,12 +2,12 @@
 //! validator the CI job runs against it.
 //!
 //! A [`Snapshot`] is a point-in-time read of the whole registry. Its JSON
-//! form is **schema version 2**, documented field by field in
+//! form is **schema version 3**, documented field by field in
 //! `docs/OBSERVABILITY.md`:
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 3,
 //!   "enabled": true,
 //!   "elapsed_us": 12345678,
 //!   "counters":   { "exec.campaigns": 480, ... every catalog counter ... },
@@ -39,8 +39,10 @@ use crate::trace::{self, Phase};
 /// Version stamped into `telemetry.json`; bump on any schema change and
 /// update `docs/OBSERVABILITY.md` in the same commit. Version 2 added the
 /// required top-level `worker_execs` array (per-fleet-worker campaign
-/// counts).
-pub const SCHEMA_VERSION: u64 = 2;
+/// counts); version 3 removed the validation hand-off metrics
+/// (`pipeline.deferred`, `pipeline.inline`, `pipeline.backpressure`,
+/// `pipeline.queue_ns`, `validate.queue_depth`).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// How many of the hottest sites a snapshot carries.
 pub const TOP_SITES: usize = 20;
@@ -166,7 +168,7 @@ impl Snapshot {
         self.phases.iter().find(|p| p.name == name)
     }
 
-    /// Serialize to schema-version-2 JSON (pretty-printed, one leaf per
+    /// Serialize to schema-version-3 JSON (pretty-printed, one leaf per
     /// line — the exact format [`validate_snapshot_text`] checks).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -318,7 +320,7 @@ fn check_uint_map(doc: &Value, field: &str, expected: &[&str]) -> Result<(), Str
     Ok(())
 }
 
-/// Validate a `telemetry.json` document against schema version 2: correct
+/// Validate a `telemetry.json` document against schema version 3: correct
 /// version, all required top-level fields, every cataloged counter / gauge
 /// / histogram / phase present with the right shape, and no un-cataloged
 /// names anywhere.
@@ -484,7 +486,11 @@ mod tests {
             .unwrap_err()
             .contains("exec.bogus"));
 
-        let wrong_version = good.replacen("\"version\": 2", "\"version\": 99", 1);
+        let wrong_version = good.replacen(
+            &format!("\"version\": {SCHEMA_VERSION}"),
+            "\"version\": 99",
+            1,
+        );
         assert!(validate_snapshot_text(&wrong_version)
             .unwrap_err()
             .contains("99"));

@@ -23,9 +23,11 @@
 //! the Fig. 6 scheduler's idle time, worth ~1.3× in all
 //! (docs/PERFORMANCE.md). `--workers` defaults to the machine's available
 //! parallelism (capped at 8); pass `--workers 1` to run one campaign at a
-//! time with inline validation, which makes runs easier to compare, though
-//! not yet a pure function of the seed: thread timing still moves
-//! candidate counts and, under the pmrace strategy, the bugs found.
+//! time, which makes runs easier to compare, though not yet a pure
+//! function of the seed: thread timing still moves candidate counts and,
+//! under the pmrace strategy, the bugs found. At every worker count a
+//! worker validates its own campaign's findings inline, under the ledger
+//! lock.
 //! Each worker draws from its own deterministic RNG stream, so seeded runs
 //! stay replayable; with `--progress`, multi-worker runs print a per-worker
 //! execs/s split. `fuzz --list-targets` prints every
@@ -66,8 +68,8 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 /// Default `--workers`: the machine's available parallelism, capped at 8.
 /// Workers beyond the CPU count only fill scheduler idle time, which the
-/// event-driven writer stall left little of. `--workers 1` drains one
-/// campaign at a time and validates inline.
+/// event-driven writer stall left little of. `--workers 1` runs one
+/// campaign at a time; every worker count validates inline.
 fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get().clamp(1, 8))
 }
