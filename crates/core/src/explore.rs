@@ -651,7 +651,6 @@ mod tests {
             tuning: SyncTuning {
                 reader_poll: Duration::from_micros(50),
                 writer_wait: Duration::from_micros(500),
-                all_block_iters: 10,
                 disable_iters: 100,
                 skip_jitter: 2,
             },

@@ -391,7 +391,6 @@ impl Repro {
                                 "writer_wait_us",
                                 u64::try_from(tuning.writer_wait.as_micros()).unwrap_or(u64::MAX),
                             ),
-                            kv_num("all_block_iters", u64::from(tuning.all_block_iters)),
                             kv_num("disable_iters", u64::from(tuning.disable_iters)),
                             kv_num("skip_jitter", u64::from(tuning.skip_jitter)),
                         ]),
@@ -432,11 +431,13 @@ impl Repro {
         let seed_text = req_str(&doc, "seed")?;
 
         let camp = doc.get("campaign").ok_or("missing 'campaign'")?;
+        // Version-1 artifacts written before the draft became event-driven
+        // also carry the draft budget's iteration count, a knob that no
+        // longer exists; it is ignored.
         let tun = camp.get("tuning").ok_or("missing 'campaign.tuning'")?;
         let tuning = SyncTuning {
             reader_poll: Duration::from_micros(req_num(tun, "reader_poll_us")?),
             writer_wait: Duration::from_micros(req_num(tun, "writer_wait_us")?),
-            all_block_iters: req_u32(tun, "all_block_iters")?,
             disable_iters: req_u32(tun, "disable_iters")?,
             skip_jitter: req_u32(tun, "skip_jitter")?,
         };
@@ -686,6 +687,32 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("eviction_interval_us"), "{err}");
+    }
+
+    #[test]
+    fn a_retired_draft_budget_is_ignored() {
+        // The checked-in corpus predates the event-driven draft: its tuning
+        // objects carry a fifth key, the old pitfall-2 draft budget (20
+        // `reader_poll` units). It loads, and re-serializing drops it.
+        let text = include_str!("../../../repros/hang-add712d8.json");
+        let tuning_keys = |t: &str| -> Vec<(String, Option<u64>)> {
+            match parse(t)
+                .unwrap()
+                .get("campaign")
+                .and_then(|c| c.get("tuning"))
+            {
+                Some(Value::Obj(kv)) => kv.iter().map(|(k, v)| (k.clone(), v.as_u64())).collect(),
+                other => panic!("no tuning object: {other:?}"),
+            }
+        };
+        let repro = Repro::from_json(text).unwrap();
+        let rewritten = repro.to_json();
+        let (before, after) = (tuning_keys(text), tuning_keys(&rewritten));
+        let dropped: Vec<_> = before.iter().filter(|kv| !after.contains(kv)).collect();
+        assert_eq!(dropped.len(), 1, "{before:?} -> {after:?}");
+        assert_eq!(dropped[0].1, Some(20));
+        assert_eq!(after.len(), 4, "{after:?}");
+        assert_eq!(Repro::from_json(&rewritten).unwrap(), repro);
     }
 
     #[test]

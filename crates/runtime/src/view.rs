@@ -69,10 +69,11 @@ const SPIN_PARK_AFTER: u32 = 128;
 /// Nominal parked-sleep quantum (the OS rounds it up by timer slack, so
 /// the realized quantum is somewhat longer on a default Linux config).
 /// A spinner reports itself through the strategy's `on_spin` hook, which
-/// ends a scheduler writer stall early, so long parks are left to waits
-/// nothing else can shorten: a lock holder parked at a sync point until
-/// the scheduler drafts it (~1 ms draft budget), a long critical section,
-/// or a leaked lock until the livelock latch fires (a few ms). At this
+/// ends a scheduler writer stall early and lets the scheduler draft a
+/// lock holder parked at a sync point (two reports after its park), so
+/// long parks are left to waits nothing else can shorten: a long critical
+/// section, a thread that cannot be drafted while another still runs, or
+/// a leaked lock until the livelock latch fires (a few ms). At this
 /// quantum such a wait costs a few sleep syscalls per millisecond rather
 /// than ~25 at 40 µs: each `nanosleep` costs a few µs of kernel time, and
 /// under the fleet that overhead was a measurable slice of per-campaign

@@ -22,16 +22,16 @@ use crate::{QueueEntry, SkipStore};
 
 /// Timing and hang-detection knobs of the Fig. 6 algorithm.
 ///
-/// Waiting is event-driven (a condition variable wakes parked threads on
-/// signal/draft/disable), so `reader_poll` no longer burns CPU as a sleep
-/// interval; it survives as the *budget unit*: the draft budget is
-/// `reader_poll × all_block_iters` and the disable budget is
-/// `reader_poll × disable_iters` of wall time, keeping the knob values (and
-/// every serialized repro artifact carrying them) meaning the same thing
-/// they always did.
+/// Waiting is event-driven: a condition variable wakes parked threads on
+/// signal, draft and disable, and the pitfall-2 draft fires on the event
+/// that makes every live thread wait (a park, a spin report or a
+/// `thread_done`), with no budget of its own. `reader_poll` survives only
+/// as the unit of the pitfall-3 disable budget, `reader_poll ×
+/// disable_iters` of wall time, keeping the knob values (and every
+/// serialized repro artifact carrying them) meaning what they always did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncTuning {
-    /// Budget unit of `cond_wait` (the paper's `usleep(100)` interval).
+    /// Unit of the disable budget (the paper's `usleep(100)` interval).
     pub reader_poll: Duration,
     /// Cap on the writer's stall after `cond_signal` (the paper's
     /// `writerWaiting`, set to the typical total execution time of the
@@ -39,9 +39,6 @@ pub struct SyncTuning {
     /// thread is spinning or finished — no thread is left that could read
     /// the unflushed value — or when the campaign is cancelled.
     pub writer_wait: Duration,
-    /// `reader_poll` units after which, if *all* live worker threads are
-    /// blocked, a privileged thread is drafted (pitfall 2).
-    pub all_block_iters: u32,
     /// `reader_poll` units after which a still-blocked thread disables the
     /// sync point and learns a skip for future campaigns (pitfall 3).
     pub disable_iters: u32,
@@ -57,7 +54,6 @@ impl Default for SyncTuning {
         SyncTuning {
             reader_poll: Duration::from_micros(50),
             writer_wait: Duration::from_millis(2),
-            all_block_iters: 20,
             // Generous: when all threads block, the drafted privileged
             // thread may need to run a whole op sequence (e.g. enough
             // inserts to trigger a resize) before the signalling store is
@@ -113,6 +109,13 @@ const CAS_ENGAGE_CAP: u32 = 4;
 /// at least this often to re-check campaign cancellation.
 const CANCEL_POLL: Duration = Duration::from_millis(1);
 
+/// `on_spin` reports a spinner must make after the newest park (or
+/// `thread_done`) before the draft counts it as blocked. The park may
+/// follow the release of the lock the spinner waits on, so its first
+/// report can close a retry that started while the lock was still held;
+/// the second closes a retry that started after the park and failed.
+const FRESH_SPINS: u32 = 2;
+
 /// Shared Fig. 6 wait state, guarded by one mutex + condvar so signal,
 /// draft, and disable wake parked readers *immediately* instead of being
 /// discovered by a sleep-poll loop.
@@ -124,8 +127,13 @@ struct HubState {
     enabled: bool,
     /// Thread granted bypass when all live threads block (pitfall 2).
     privileged: Option<ThreadId>,
-    /// Threads currently parked in `cond_wait`.
-    blocked: Vec<ThreadId>,
+    /// Threads currently parked in `cond_wait`, with the time each parked.
+    blocked: Vec<(ThreadId, Instant)>,
+    /// `on_spin` reports per thread since the newest park or `thread_done`
+    /// (counted while some thread is parked; see [`FRESH_SPINS`]). Reset
+    /// at both: the parking or finishing thread may have released what
+    /// the spinners wait on.
+    fresh_spins: Vec<u32>,
     /// Driver threads still executing (the all-block detection is over
     /// live threads; finished threads cannot signal anyone).
     active: usize,
@@ -145,6 +153,10 @@ pub struct PmraceStrategy {
     skip_store: Arc<SkipStore>,
     /// Condition, enable flag, privilege, and blocked-set, event-driven.
     hub: WaitHub,
+    /// Mirrors `!blocked.is_empty()` outside the hub lock, so `on_spin`
+    /// takes the lock only while a parked thread may need a draft. Written
+    /// under the lock; a stale read only moves a count to the next report.
+    parked: AtomicBool,
     /// Per-thread "spinning" flags, indexed by thread id: set by
     /// `on_spin`, cleared by the thread's next completed store, its next
     /// park in `cond_wait`, or its `thread_done`. A spinning thread waits
@@ -250,10 +262,12 @@ impl PmraceStrategy {
                     enabled: true,
                     privileged: None,
                     blocked: Vec::new(),
+                    fresh_spins: vec![0; num_threads],
                     active: num_threads,
                 }),
                 cv: Condvar::new(),
             },
+            parked: AtomicBool::new(false),
             spinning: (0..num_threads).map(|_| AtomicBool::new(false)).collect(),
             skips: Mutex::new(skips),
             initial_skips,
@@ -303,10 +317,27 @@ impl PmraceStrategy {
     /// the full disable budget.
     fn draft_privileged(&self, st: &mut HubState) {
         let mut candidates = st.blocked.clone();
-        candidates.sort_unstable_by_key(|t| t.0);
+        candidates.sort_unstable_by_key(|(t, _)| t.0);
         let i = self.rng.lock().random_range(0..candidates.len());
-        st.privileged = Some(candidates[i]);
+        let (tid, parked_at) = candidates[i];
+        st.privileged = Some(tid);
         telemetry::add(telemetry::Counter::PlanPrivilegedDrafts, 1);
+        telemetry::metrics::record_duration(
+            telemetry::Histogram::SchedDraftWaitNs,
+            parked_at.elapsed(),
+        );
+    }
+
+    /// Draft a privileged thread if every live thread now waits, waking
+    /// the parked ones; `true` if it drafted. Runs on each event that can
+    /// complete the condition: a park, a spin report, a `thread_done`.
+    fn draft_if_stuck(&self, st: &mut HubState) -> bool {
+        if !self.needs_draft(st) {
+            return false;
+        }
+        self.draft_privileged(st);
+        self.hub.cv.notify_all();
+        true
     }
 
     /// Runs on every completed store, so it reads before writing: the
@@ -325,22 +356,43 @@ impl PmraceStrategy {
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// Spinning threads not parked in `cond_wait`, other than `except`.
-    fn spinners_outside(&self, st: &HubState, except: Option<ThreadId>) -> usize {
+    /// A spinner whose spin has outlived the newest park: it failed a
+    /// retry that started after that park ([`FRESH_SPINS`]).
+    fn is_stuck(&self, st: &HubState, tid: ThreadId) -> bool {
+        self.is_spinning(tid)
+            && st
+                .fresh_spins
+                .get(tid.0 as usize)
+                .is_some_and(|&n| n >= FRESH_SPINS)
+    }
+
+    /// Threads not parked in `cond_wait`, other than `except`.
+    fn outside<'s>(
+        &'s self,
+        st: &'s HubState,
+        except: Option<ThreadId>,
+    ) -> impl Iterator<Item = ThreadId> + 's {
         (0..self.spinning.len())
             .map(|t| ThreadId(t as u32))
-            .filter(|&t| Some(t) != except && self.is_spinning(t) && !st.blocked.contains(&t))
+            .filter(move |&t| Some(t) != except && !st.blocked.iter().any(|&(b, _)| b == t))
+    }
+
+    /// Spinning threads not parked in `cond_wait`, other than `except`.
+    fn spinners_outside(&self, st: &HubState, except: Option<ThreadId>) -> usize {
+        self.outside(st, except)
+            .filter(|&t| self.is_spinning(t))
             .count()
     }
 
     /// Pitfall 2's draft condition: every live thread waits on another
-    /// (parked in `cond_wait` or spinning) and no privileged thread can
-    /// break the cycle. A privileged thread that spins is waiting on a
-    /// parked one (typically for a lock it holds), so it is replaced.
+    /// (parked in `cond_wait` or stuck spinning) and no privileged thread
+    /// can break the cycle. A privileged thread stuck spinning is waiting
+    /// on a parked one (typically for a lock it holds), so it is replaced.
     fn needs_draft(&self, st: &HubState) -> bool {
-        st.privileged.is_none_or(|p| self.is_spinning(p))
+        let stuck = self.outside(st, None).filter(|&t| self.is_stuck(st, t));
+        st.privileged.is_none_or(|p| self.is_stuck(st, p))
             && !st.blocked.is_empty()
-            && st.blocked.len() + self.spinners_outside(st, None) >= st.active.max(1)
+            && st.blocked.len() + stuck.count() >= st.active.max(1)
     }
 
     fn matches_addr(&self, off: u64) -> bool {
@@ -371,14 +423,15 @@ impl PmraceStrategy {
         self.waits.fetch_add(1, Ordering::Relaxed);
         telemetry::add(telemetry::Counter::PlanWaits, 1);
         let start = Instant::now();
-        let draft_after = self.tuning.reader_poll * self.tuning.all_block_iters;
         let disable_after = self.tuning.reader_poll * self.tuning.disable_iters;
         let mut st = self.hub.state.lock();
         // A parked thread counts through `blocked`; a spin that led here
         // has ended (a lock taken without a store, e.g. `try_lock`), and
         // `on_spin` sets the flag again if the thread resumes spinning.
         self.clear_spinning(ctx.tid);
-        st.blocked.push(ctx.tid);
+        st.blocked.push((ctx.tid, start));
+        self.parked.store(true, Ordering::Relaxed);
+        st.fresh_spins.fill(0);
         loop {
             if st.signalled || !st.enabled || st.privileged == Some(ctx.tid) {
                 break;
@@ -397,27 +450,23 @@ impl PmraceStrategy {
                 self.hub.cv.notify_all();
                 break;
             }
-            if waited >= draft_after && self.needs_draft(&st) {
-                // All live threads block: draft a privileged thread
+            if self.draft_if_stuck(&mut st) {
+                // All live threads block: a privileged thread is drafted
                 // (lines 13–16); the loop condition releases it on the next
-                // turn, and `notify_all` wakes it if it is parked.
-                self.draft_privileged(&mut st);
-                self.hub.cv.notify_all();
+                // turn if it is this one. A park that completes the
+                // condition drafts here at once; one parked earlier is
+                // drafted by the spin report or `thread_done` that does.
                 continue;
             }
             // Park until a signal/draft/disable wakes us, re-checking
-            // cancellation and the budget boundaries at least every
+            // cancellation and the disable budget at least every
             // `CANCEL_POLL`.
-            let next_deadline = if waited < draft_after {
-                draft_after
-            } else {
-                disable_after
-            };
-            let slice = (next_deadline - waited).min(CANCEL_POLL);
+            let slice = (disable_after - waited).min(CANCEL_POLL);
             self.hub.cv.wait_for(&mut st, slice);
         }
         let me = ctx.tid;
-        st.blocked.retain(|&t| t != me);
+        st.blocked.retain(|&(t, _)| t != me);
+        self.parked.store(!st.blocked.is_empty(), Ordering::Relaxed);
     }
 
     /// `cond_signal` (Fig. 6 lines 26–30).
@@ -507,15 +556,23 @@ impl InterleaveStrategy for PmraceStrategy {
         let Some(flag) = self.spinning.get(tid.0 as usize) else {
             return;
         };
-        if flag.load(Ordering::Relaxed) {
+        let newly = !flag.load(Ordering::Relaxed);
+        if newly {
+            flag.store(true, Ordering::Relaxed);
+        } else if !self.parked.load(Ordering::Relaxed) {
             return;
         }
-        flag.store(true, Ordering::Relaxed);
         // Taking the hub lock orders the flag before any waiter's next
-        // check: a stalled writer or a reader past its draft budget
-        // re-evaluates now instead of at its next timeout.
-        let _st = self.hub.state.lock();
-        self.hub.cv.notify_all();
+        // check. While a thread is parked, every report is counted and may
+        // complete the draft condition; a new spinner also wakes a stalled
+        // writer to re-evaluate now instead of at its next timeout.
+        let mut st = self.hub.state.lock();
+        if let Some(n) = st.fresh_spins.get_mut(tid.0 as usize) {
+            *n = n.saturating_add(1);
+        }
+        if !self.draft_if_stuck(&mut st) && newly {
+            self.hub.cv.notify_all();
+        }
     }
 
     fn thread_done(&self, tid: ThreadId) {
@@ -526,13 +583,13 @@ impl InterleaveStrategy for PmraceStrategy {
         if st.privileged == Some(tid) {
             st.privileged = None;
         }
-        // If every remaining live thread is already parked or spinning,
-        // nobody is left to signal: draft a replacement *now*, chaining
-        // execution until some thread reaches the signalling store, instead
-        // of letting the parked readers burn their whole disable budget.
-        if self.needs_draft(&st) {
-            self.draft_privileged(&mut st);
-        }
+        // If every remaining live thread is already parked (or a spinner
+        // later proves stuck), nobody is left to signal: draft a replacement
+        // *now*, chaining execution until some thread reaches the
+        // signalling store, instead of letting the parked readers burn
+        // their whole disable budget.
+        st.fresh_spins.fill(0);
+        self.draft_if_stuck(&mut st);
         self.hub.cv.notify_all();
     }
 }
@@ -556,7 +613,6 @@ mod tests {
         SyncTuning {
             reader_poll: Duration::from_micros(100),
             writer_wait: Duration::from_millis(1),
-            all_block_iters: 5,
             disable_iters: 400,
             skip_jitter: 0,
         }
@@ -833,8 +889,10 @@ mod tests {
         start.elapsed()
     }
 
-    fn wait_until_parked(strat: &PmraceStrategy) {
-        while strat.hub.state.lock().blocked.is_empty() {
+    /// Wait until `thread` is parked in `cond_wait`, or has already left
+    /// it (the assertions that follow then report what released it).
+    fn wait_until_parked(strat: &PmraceStrategy, thread: &std::thread::JoinHandle<()>) {
+        while strat.hub.state.lock().blocked.is_empty() && !thread.is_finished() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -910,7 +968,7 @@ mod tests {
             let cancelled = || false;
             other.before_load(&ctx(64, l, 1, &cancelled));
         });
-        wait_until_parked(&strat);
+        wait_until_parked(&strat, &reader);
         // The reader is listed in `blocked` but about to wake and read the
         // unflushed value: the writer must keep stalling.
         let stalled = timed_signal(&strat, s);
@@ -919,52 +977,146 @@ mod tests {
         assert!(strat.sync_point_enabled());
     }
 
+    fn privileged(strat: &PmraceStrategy) -> Option<ThreadId> {
+        strat.hub.state.lock().privileged
+    }
+
+    /// Park thread `tid` at the sync point on its own thread; join it
+    /// once a draft (or signal) releases it.
+    fn park(strat: &Arc<PmraceStrategy>, l: Site, tid: u32) -> std::thread::JoinHandle<()> {
+        let other = Arc::clone(strat);
+        std::thread::spawn(move || {
+            let cancelled = || false;
+            other.before_load(&ctx(64, l, tid, &cancelled));
+        })
+    }
+
+    #[test]
+    fn the_park_that_blocks_every_thread_drafts_at_once() {
+        let (l, s) = (site!("draft-load"), site!("draft-store"));
+        // A disable budget of an hour: only a draft can free the threads.
+        let tuning = SyncTuning {
+            reader_poll: Duration::from_secs(1),
+            disable_iters: 3600,
+            ..fast_tuning()
+        };
+        let strat = Arc::new(PmraceStrategy::new(
+            plan_for(64, l, s),
+            2,
+            Arc::new(SkipStore::new()),
+            tuning,
+            7,
+        ));
+        let handles: Vec<_> = (0..2u32)
+            .map(|t| {
+                let st = Arc::clone(&strat);
+                std::thread::spawn(move || {
+                    let cancelled = || false;
+                    st.before_load(&ctx(64, l, t, &cancelled));
+                    // The drafted thread runs on and finishes, which drafts
+                    // the one still parked.
+                    st.thread_done(ThreadId(t));
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(strat.sync_point_enabled(), "drafted, not disabled");
+        assert_eq!(strat.waits_entered(), 2);
+    }
+
     #[test]
     fn spinning_thread_counts_as_blocked_for_the_draft() {
         let (strat, l, _) = stall_strategy(Duration::from_secs(10));
-        let other = Arc::clone(&strat);
-        let reader = std::thread::spawn(move || {
-            let cancelled = || false;
-            let start = Instant::now();
-            other.before_load(&ctx(64, l, 1, &cancelled));
-            start.elapsed()
-        });
-        wait_until_parked(&strat);
-        // Thread 0 spins (e.g. on a lock the parked reader holds): every
-        // live thread waits, so the reader is drafted instead of waiting
-        // out the disable budget.
+        let reader = park(&strat, l, 1);
+        wait_until_parked(&strat, &reader);
+        assert_eq!(privileged(&strat), None);
+        // Thread 0 spins (e.g. on a lock the parked reader holds): once a
+        // retry that started after the park fails, every live thread
+        // waits, so the reader is drafted instead of waiting out the
+        // disable budget.
         strat.on_spin(ThreadId(0));
-        let waited = reader.join().unwrap();
-        assert!(waited < Duration::from_secs(5), "reader stuck: {waited:?}");
+        strat.on_spin(ThreadId(0));
+        assert_eq!(privileged(&strat), Some(ThreadId(1)));
+        reader.join().unwrap();
+        assert!(strat.sync_point_enabled(), "drafted, not disabled");
+    }
+
+    #[test]
+    fn a_spin_reported_before_the_park_does_not_draft() {
+        let (strat, l, _) = stall_strategy(Duration::from_secs(10));
+        // Thread 0 spins on a lock thread 1 holds; thread 1 releases it
+        // and parks. The flag still reads "spinning", but thread 0 is
+        // about to take the lock.
+        strat.on_spin(ThreadId(0));
+        let reader = park(&strat, l, 1);
+        wait_until_parked(&strat, &reader);
+        assert_eq!(privileged(&strat), None);
+        // The first report after the park may close a retry that started
+        // before it.
+        strat.on_spin(ThreadId(0));
+        assert_eq!(privileged(&strat), None);
+        assert_eq!(strat.hub.state.lock().blocked.len(), 1);
+        // The second closes one that started after it: thread 0 is stuck.
+        strat.on_spin(ThreadId(0));
+        assert_eq!(privileged(&strat), Some(ThreadId(1)));
+        reader.join().unwrap();
+        assert!(strat.sync_point_enabled(), "drafted, not disabled");
+    }
+
+    #[test]
+    fn a_finish_restarts_the_spin_count() {
+        let (l, s) = (site!("finish-load"), site!("finish-store"));
+        let tuning = SyncTuning {
+            disable_iters: 100_000,
+            ..fast_tuning()
+        };
+        let strat = Arc::new(PmraceStrategy::new(
+            plan_for(64, l, s),
+            3,
+            Arc::new(SkipStore::new()),
+            tuning,
+            7,
+        ));
+        let reader = park(&strat, l, 1);
+        wait_until_parked(&strat, &reader);
+        // Thread 0 spins while thread 2 still runs: no draft.
+        strat.on_spin(ThreadId(0));
+        strat.on_spin(ThreadId(0));
+        assert_eq!(privileged(&strat), None);
+        // Thread 2 may release what thread 0 waits on as it finishes, so
+        // thread 0's spin counts again from here.
+        strat.thread_done(ThreadId(2));
+        assert_eq!(privileged(&strat), None);
+        strat.on_spin(ThreadId(0));
+        strat.on_spin(ThreadId(0));
+        assert_eq!(privileged(&strat), Some(ThreadId(1)));
+        reader.join().unwrap();
         assert!(strat.sync_point_enabled(), "drafted, not disabled");
     }
 
     #[test]
     fn spinning_privileged_thread_is_replaced() {
         let (strat, l, _) = stall_strategy(Duration::from_secs(10));
-        let park = |tid: u32| {
-            let other = Arc::clone(&strat);
-            std::thread::spawn(move || {
-                let cancelled = || false;
-                let start = Instant::now();
-                other.before_load(&ctx(64, l, tid, &cancelled));
-                start.elapsed()
-            })
-        };
         // Thread 1 parks and is drafted once thread 0 spins.
-        let first = park(1);
-        wait_until_parked(&strat);
+        let first = park(&strat, l, 1);
+        wait_until_parked(&strat, &first);
         strat.on_spin(ThreadId(0));
-        assert!(first.join().unwrap() < Duration::from_secs(5));
+        strat.on_spin(ThreadId(0));
+        assert_eq!(privileged(&strat), Some(ThreadId(1)));
+        first.join().unwrap();
         // The privileged thread 1 now spins on something thread 0 holds
-        // while thread 0 parks: thread 0 must be drafted in its place.
+        // while thread 0 parks: once thread 1 fails a retry after that
+        // park, thread 0 is drafted in its place.
         strat.on_spin(ThreadId(1));
-        let second = park(0);
-        let waited = second.join().unwrap();
-        assert!(
-            waited < Duration::from_secs(5),
-            "thread 0 stuck: {waited:?}"
-        );
+        let second = park(&strat, l, 0);
+        wait_until_parked(&strat, &second);
+        assert_eq!(privileged(&strat), Some(ThreadId(1)));
+        strat.on_spin(ThreadId(1));
+        strat.on_spin(ThreadId(1));
+        assert_eq!(privileged(&strat), Some(ThreadId(0)));
+        second.join().unwrap();
         assert!(strat.sync_point_enabled(), "drafted, not disabled");
     }
 }

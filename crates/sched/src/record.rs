@@ -192,7 +192,6 @@ mod tests {
         let tuning = SyncTuning {
             reader_poll: Duration::from_micros(100),
             writer_wait: Duration::from_millis(1),
-            all_block_iters: 5,
             disable_iters: 100,
             skip_jitter: 0,
         };

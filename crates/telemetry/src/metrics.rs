@@ -110,6 +110,7 @@ metric_enum! {
     RestoreDirtyLines => "restore.dirty_lines",
     CrashImageOverlayBytes => "crash_image.overlay_bytes",
     SchedWriterStallNs => "sched.writer_stall_ns",
+    SchedDraftWaitNs => "sched.draft_wait_ns",
 }
 
 const N_COUNTERS: usize = Counter::ALL.len();

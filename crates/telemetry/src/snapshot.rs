@@ -2,12 +2,12 @@
 //! validator the CI job runs against it.
 //!
 //! A [`Snapshot`] is a point-in-time read of the whole registry. Its JSON
-//! form is **schema version 3**, documented field by field in
+//! form is **schema version 4**, documented field by field in
 //! `docs/OBSERVABILITY.md`:
 //!
 //! ```json
 //! {
-//!   "version": 3,
+//!   "version": 4,
 //!   "enabled": true,
 //!   "elapsed_us": 12345678,
 //!   "counters":   { "exec.campaigns": 480, ... every catalog counter ... },
@@ -41,8 +41,9 @@ use crate::trace::{self, Phase};
 /// required top-level `worker_execs` array (per-fleet-worker campaign
 /// counts); version 3 removed the validation hand-off metrics
 /// (`pipeline.deferred`, `pipeline.inline`, `pipeline.backpressure`,
-/// `pipeline.queue_ns`, `validate.queue_depth`).
-pub const SCHEMA_VERSION: u64 = 3;
+/// `pipeline.queue_ns`, `validate.queue_depth`); version 4 added the
+/// `sched.draft_wait_ns` histogram.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// How many of the hottest sites a snapshot carries.
 pub const TOP_SITES: usize = 20;
@@ -320,7 +321,7 @@ fn check_uint_map(doc: &Value, field: &str, expected: &[&str]) -> Result<(), Str
     Ok(())
 }
 
-/// Validate a `telemetry.json` document against schema version 3: correct
+/// Validate a `telemetry.json` document against schema version 4: correct
 /// version, all required top-level fields, every cataloged counter / gauge
 /// / histogram / phase present with the right shape, and no un-cataloged
 /// names anywhere.
