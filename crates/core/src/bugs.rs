@@ -208,7 +208,7 @@ impl Ledger {
     ) -> IngestDelta {
         let mut delta = IngestDelta::default();
         self.stats.campaigns += 1;
-        self.stats.annotations = self.stats.annotations.max(result.annotations.len());
+        self.stats.annotations = self.stats.annotations.max(result.annotations);
 
         for cand in &result.findings.candidates {
             let w = site_label(cand.write_site).to_owned();

@@ -8,6 +8,12 @@
 //! channels. The pool is thread-local, so concurrent exec workers never
 //! share drivers and the per-campaign dispatch order (thread 0 first) is
 //! as deterministic as the scoped-spawn order it replaces.
+//!
+//! The checker state is recycled per exec thread the same way: a campaign
+//! retires its finished [`Session`] into a thread-local slot and the next
+//! campaign on that thread resets those tables in O(touched) instead of
+//! allocating new ones (`Session::retire`, `Session::recycle`). The pool is
+//! not part of it: it goes back to `Checkpoint::acquire` with the session.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,9 +27,9 @@ use pmrace_api::TargetSpec;
 use pmrace_pmem::{Pool, ThreadId};
 use pmrace_runtime::coverage::CoverageMap;
 use pmrace_runtime::report::Findings;
-use pmrace_runtime::session::SharedAccessEntry;
+use pmrace_runtime::session::SharedAccesses;
 use pmrace_runtime::strategy::InterleaveStrategy;
-use pmrace_runtime::{RtError, Session, SessionConfig, SyncVarAnnotation};
+use pmrace_runtime::{RtError, Session, SessionConfig, SessionTables};
 use pmrace_telemetry as telemetry;
 
 use crate::checkpoint::Checkpoint;
@@ -89,9 +95,9 @@ pub struct CampaignResult {
     /// immutable and the explorer merges from the original allocation.
     pub coverage: Arc<CoverageMap>,
     /// Shared-access statistics feeding the priority queue.
-    pub shared: Vec<SharedAccessEntry>,
-    /// Sync-var annotations the target registered.
-    pub annotations: Vec<SyncVarAnnotation>,
+    pub shared: SharedAccesses,
+    /// Number of sync-var annotations the target registered.
+    pub annotations: usize,
     /// Wall-clock duration.
     pub duration: Duration,
     /// Operations that failed with a runtime error (timeouts during hangs).
@@ -167,6 +173,10 @@ thread_local! {
     /// validation recovery runs, tests). Dropped — drivers hung up and
     /// reaped — when the owning thread exits.
     static DRIVERS: RefCell<DriverPool> = RefCell::new(DriverPool::default());
+
+    /// The tables of the last session this thread retired, for its next
+    /// campaign (see the module docs).
+    static RETIRED: RefCell<Option<SessionTables>> = const { RefCell::new(None) };
 }
 
 /// Execute one campaign of `seed` against a fresh instance of `spec`.
@@ -200,20 +210,25 @@ pub fn run_campaign(
             Arc::new(Pool::new(opts))
         }
     };
-    let mut whitelist = pmrace_runtime::whitelist::Whitelist::default_rules();
+    let mut session_cfg = SessionConfig {
+        deadline: cfg.deadline,
+        capture_crash_images: cfg.capture_images,
+        max_crash_images: cfg.max_images,
+        ..SessionConfig::default()
+    };
     for rule in &cfg.extra_whitelist {
-        whitelist.add(rule.clone());
+        session_cfg.whitelist.add(rule.clone());
     }
-    let session = Session::new(
-        pool,
-        SessionConfig {
-            deadline: cfg.deadline,
-            capture_crash_images: cfg.capture_images,
-            max_crash_images: cfg.max_images,
-            whitelist,
-            ..SessionConfig::default()
-        },
-    );
+    let session = match RETIRED.take() {
+        Some(tables) => {
+            telemetry::add(telemetry::Counter::ExecSessionReuses, 1);
+            Session::recycle(tables, pool, session_cfg)
+        }
+        None => {
+            telemetry::add(telemetry::Counter::ExecSessionFresh, 1);
+            Session::new(pool, session_cfg)
+        }
+    };
     // Pool acquisition (checkpoint restore) is traced separately inside
     // `Checkpoint::acquire`; the execution span covers target
     // init/recovery plus the driver threads.
@@ -313,9 +328,16 @@ pub fn run_campaign(
 
     let coverage = session.coverage_handle();
     let shared = session.shared_accesses();
-    let annotations = session.annotations();
+    let annotations = session.annotation_count();
     let pm_accesses = session.pm_accesses();
     let findings = session.finish();
+    // The drivers let go of the session before the barrier opened; with
+    // the target gone too, nothing else holds it unless a target or a
+    // strategy kept a reference, and then the next campaign starts fresh.
+    drop(target);
+    if let Some(tables) = Session::retire(session) {
+        RETIRED.set(Some(tables));
+    }
     if telemetry::enabled() {
         telemetry::add(telemetry::Counter::ExecCampaigns, 1);
         if findings.hang {
@@ -380,7 +402,7 @@ mod tests {
         .unwrap();
         assert!(res.coverage.branches() > 0);
         assert!(!res.findings.hang);
-        assert_eq!(res.annotations.len(), 4);
+        assert_eq!(res.annotations, 4);
         assert!(res.duration < Duration::from_secs(5));
         assert!(res.pm_accesses > 0, "the access meter must count PM events");
     }

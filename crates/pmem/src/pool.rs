@@ -451,8 +451,8 @@ impl Pool {
         self.seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn lock_all(&self) -> Vec<MutexGuard<'_, Shard>> {
-        self.shards.iter().map(|m| m.lock()).collect()
+    fn lock_all(&self) -> [MutexGuard<'_, Shard>; N_SHARDS] {
+        std::array::from_fn(|i| self.shards[i].lock())
     }
 
     /// Lock the shards owning lines `first..=last`, ascending.
@@ -1216,9 +1216,17 @@ impl Pool {
             return Ok(RestoreMode::Full);
         }
         let (vol, per, meta_map) = (snap.volatile(), snap.persistent(), snap.meta());
-        let mut lines: Vec<u64> = Vec::with_capacity(total);
+        // Restored lines are only collected for the telemetry histogram.
+        let mut lines: Vec<u64> = Vec::new();
+        if telemetry::enabled() {
+            lines.reserve_exact(total);
+        }
         for (s, shard) in guards.iter_mut().enumerate() {
-            let list = std::mem::take(&mut shard.epoch_list);
+            // Taken so `set_meta` can run while it is walked, and put back
+            // so the list keeps its capacity: the walk stamps nothing new
+            // (every listed granule already carries this epoch's stamp),
+            // and `finish_restore` empties it.
+            let mut list = std::mem::take(&mut shard.epoch_list);
             for &lg in &list {
                 let g = global_granule(s, lg);
                 let off = g as usize * GRANULE;
@@ -1230,8 +1238,12 @@ impl Pool {
                 shard.volatile[lb..lb + n].copy_from_slice(&vol[off..off + n]);
                 shard.persistent[lb..lb + n].copy_from_slice(&per[off..off + n]);
                 shard.set_meta(lg, meta_map.get(&g).copied().unwrap_or_default());
-                lines.push(g / GRANULES_PER_LINE);
+                if telemetry::enabled() {
+                    lines.push(g / GRANULES_PER_LINE);
+                }
             }
+            list.clear();
+            shard.epoch_list = list;
             shard.pending.clear();
         }
         if telemetry::enabled() {

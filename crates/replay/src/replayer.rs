@@ -390,8 +390,8 @@ fn signature_plan(repro: &Repro, recon: &CampaignResult) -> Option<SyncPlan> {
     };
     Some(SyncPlan {
         off: entry.off,
-        load_sites: ids_labelled(&entry.load_sites, &sig.read_label),
-        store_sites: ids_labelled(&entry.store_sites, &sig.write_label),
+        load_sites: ids_labelled(entry.load_sites, &sig.read_label),
+        store_sites: ids_labelled(entry.store_sites, &sig.write_label),
         cas_sites: entry.cas_sites.iter().map(|(s, _)| s.id()).collect(),
     })
 }

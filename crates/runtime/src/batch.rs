@@ -38,7 +38,7 @@ use crate::Site;
 /// log2 of the per-thread granule-cache slot count.
 const SLOT_BITS: u32 = 9;
 
-/// Granule slots per thread buffer (512 × ~80 B ≈ 40 KiB — small enough to
+/// Granule slots per thread buffer (512 × ~130 B ≈ 65 KiB — small enough to
 /// stay cache-resident, large enough that a 64-line-per-thread working set
 /// maps with no alias group larger than a set's two ways). Organized as
 /// [`SETS`] 2-way sets.
@@ -91,21 +91,63 @@ pub(crate) fn unpack_cov(packed: u32) -> (Site, Persistency) {
     (Site::from_id(packed >> 1), p)
 }
 
-/// Linear-scan site-count bump — granules see a handful of distinct sites,
-/// same rationale as the session's `AccessStats`.
-#[inline]
-pub(crate) fn bump_site(sites: &mut Vec<(Site, u32)>, site: Site) {
-    bump_site_n(sites, site, 1);
+/// Access kinds a slot (and the session's granule statistics) count sites
+/// for, indexing [`Slot::counts`].
+pub(crate) const LOADS: usize = 0;
+pub(crate) const STORES: usize = 1;
+pub(crate) const CAS: usize = 2;
+
+/// Distinct sites a slot counts per access kind within one epoch. A
+/// granule sees a handful of sites between two sync points; a further one
+/// makes the session fold the slot's counts into its stripe early
+/// (`Session::count`), which changes no total.
+const SITE_CELLS: usize = 4;
+
+/// One access kind's site counts in a slot, held inline: a slot filling
+/// heap vectors was the largest source of allocations in a campaign.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SiteCounts {
+    len: u8,
+    cells: [(Site, u32); SITE_CELLS],
 }
 
-/// [`bump_site`] by `n` at once — the CAS-retry fast path batches whole
-/// retry storms into one bump.
-#[inline]
-pub(crate) fn bump_site_n(sites: &mut Vec<(Site, u32)>, site: Site, n: u32) {
-    if let Some(e) = sites.iter_mut().find(|e| e.0 == site) {
-        e.1 += n;
-    } else {
-        sites.push((site, n));
+impl SiteCounts {
+    fn new() -> Self {
+        SiteCounts {
+            len: 0,
+            cells: [(Site::from_id(0), 0); SITE_CELLS],
+        }
+    }
+
+    /// The counted `(site, hits)` pairs, in first-hit order.
+    pub(crate) fn as_slice(&self) -> &[(Site, u32)] {
+        &self.cells[..self.len as usize]
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Add `n` hits of `site` (a linear scan: granules see a handful of
+    /// distinct sites). `false`, counting nothing, when `site` is new and
+    /// every cell is taken.
+    #[inline]
+    #[must_use]
+    pub(crate) fn bump(&mut self, site: Site, n: u32) -> bool {
+        let len = self.len as usize;
+        if let Some(e) = self.cells[..len].iter_mut().find(|e| e.0 == site) {
+            e.1 += n;
+        } else if len < SITE_CELLS {
+            self.cells[len] = (site, n);
+            self.len += 1;
+        } else {
+            return false;
+        }
+        true
     }
 }
 
@@ -155,12 +197,9 @@ pub(crate) struct Slot {
     /// Kept separate from `in_epoch` so eviction ping-pong within one epoch
     /// re-uses the existing entry instead of growing the list unboundedly.
     pub(crate) enrolled: bool,
-    /// Plain-load site counts.
-    pub(crate) loads: Vec<(Site, u32)>,
-    /// Store site counts.
-    pub(crate) stores: Vec<(Site, u32)>,
-    /// CAS-read site counts.
-    pub(crate) cas: Vec<(Site, u32)>,
+    /// Plain-load, store and CAS-read site counts ([`LOADS`], [`STORES`],
+    /// [`CAS`]).
+    pub(crate) counts: [SiteCounts; 3],
     /// First packed coverage event of the epoch ([`NO_COV`] if none).
     pub(crate) cov_first: u32,
     /// Last packed coverage event of the epoch.
@@ -173,9 +212,7 @@ impl Slot {
             granule: NO_GRANULE,
             in_epoch: false,
             enrolled: false,
-            loads: Vec::new(),
-            stores: Vec::new(),
-            cas: Vec::new(),
+            counts: [SiteCounts::new(); 3],
             cov_first: NO_COV,
             cov_last: NO_COV,
         }
@@ -199,7 +236,7 @@ impl LocalTrace {
     fn new(cap: usize) -> Self {
         LocalTrace {
             cap,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(cap.min(4096)),
             start: 0,
             dropped: 0,
         }
@@ -334,7 +371,9 @@ impl ThreadBuffer {
         ThreadBuffer {
             tid,
             slots: (0..SLOTS).map(|_| Slot::new()).collect(),
-            used: Vec::new(),
+            // Sized for its bound up front: one allocation, not a
+            // doubling series in every campaign.
+            used: Vec::with_capacity(SLOTS),
             victim_flip: false,
             trace: LocalTrace::new(trace_depth),
             pm_events: 0,

@@ -67,12 +67,24 @@ fn pack_last(granule: u64, site: Site, tid: ThreadId, persistency: Persistency) 
         | (persistency as u64)
 }
 
+/// Words in each coverage bitmap.
+const MAP_WORDS: usize = MAP_BITS / 64;
+/// Cache lines of last-access slots.
+const LAST_LINES: usize = LAST_SLOTS / 8;
+
 /// Per-campaign (and, merged, global) coverage state.
 ///
 /// Bitmaps are stored as `AtomicU64` *words*, not bytes: `merge_from` — run
 /// once per campaign by every fleet worker — walks 1 Ki words per map
 /// instead of 8 Ki bytes, and `new`/`clone` touch an eighth of the
 /// allocations. `set_bit` is the same single `fetch_or` either way.
+///
+/// Each bitmap and the last-access table carry a one-bit-per-word (per
+/// line) summary of what was ever written, so [`CoverageMap::merge_from`]
+/// and [`CoverageMap::clear`] visit only touched words: a campaign sets a
+/// few hundred bits of 128 Ki and records a few thousand of 32 Ki
+/// last-access slots, and an exec thread's recycled session clears its
+/// map after every campaign.
 #[derive(Debug)]
 pub struct CoverageMap {
     alias: Box<[AtomicU64]>,
@@ -80,12 +92,42 @@ pub struct CoverageMap {
     alias_count: AtomicUsize,
     branch_count: AtomicUsize,
     last: Box<[LastLine]>,
+    alias_words: [AtomicU64; MAP_WORDS / 64],
+    branch_words: [AtomicU64; MAP_WORDS / 64],
+    last_lines: [AtomicU64; LAST_LINES / 64],
 }
 
 impl Default for CoverageMap {
     fn default() -> Self {
         CoverageMap::new()
     }
+}
+
+/// Set bit `idx` of a summary, reading first so the common re-mark costs
+/// no exclusive cache line.
+fn mark(summary: &[AtomicU64], idx: usize) {
+    let (w, m) = (idx / 64, 1u64 << (idx % 64));
+    if summary[w].load(Ordering::Relaxed) & m == 0 {
+        summary[w].fetch_or(m, Ordering::Relaxed);
+    }
+}
+
+/// Indices of the set bits of `summary`.
+fn marked(summary: &[AtomicU64]) -> impl Iterator<Item = usize> + '_ {
+    summary.iter().enumerate().flat_map(|(w, word)| {
+        let mut bits = word.load(Ordering::Relaxed);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
+}
+
+fn copy_words<const N: usize>(src: &[AtomicU64; N]) -> [AtomicU64; N] {
+    std::array::from_fn(|i| AtomicU64::new(src[i].load(Ordering::Relaxed)))
 }
 
 impl Clone for CoverageMap {
@@ -109,6 +151,9 @@ impl Clone for CoverageMap {
                     }))
                 })
                 .collect(),
+            alias_words: copy_words(&self.alias_words),
+            branch_words: copy_words(&self.branch_words),
+            last_lines: copy_words(&self.last_lines),
         }
     }
 }
@@ -117,15 +162,34 @@ impl CoverageMap {
     /// Fresh, empty coverage state.
     #[must_use]
     pub fn new() -> Self {
-        let zeroed =
-            || -> Box<[AtomicU64]> { (0..MAP_BITS / 64).map(|_| AtomicU64::new(0)).collect() };
+        let zeroed = || -> Box<[AtomicU64]> { (0..MAP_WORDS).map(|_| AtomicU64::new(0)).collect() };
         CoverageMap {
             alias: zeroed(),
             branch: zeroed(),
             alias_count: AtomicUsize::new(0),
             branch_count: AtomicUsize::new(0),
-            last: (0..LAST_SLOTS / 8).map(|_| LastLine::default()).collect(),
+            last: (0..LAST_LINES).map(|_| LastLine::default()).collect(),
+            alias_words: [const { AtomicU64::new(0) }; MAP_WORDS / 64],
+            branch_words: [const { AtomicU64::new(0) }; MAP_WORDS / 64],
+            last_lines: [const { AtomicU64::new(0) }; LAST_LINES / 64],
         }
+    }
+
+    /// Reset to the empty state in place, touching only the words and
+    /// last-access lines written since the last clear.
+    pub fn clear(&mut self) {
+        for (map, words) in [
+            (&self.alias, &mut self.alias_words),
+            (&self.branch, &mut self.branch_words),
+        ] {
+            for i in marked(words) {
+                map[i].store(0, Ordering::Relaxed);
+            }
+            words.iter_mut().for_each(|w| *w.get_mut() = 0);
+        }
+        *self.alias_count.get_mut() = 0;
+        *self.branch_count.get_mut() = 0;
+        self.reset_last_access();
     }
 
     fn mix(a: u32, b: u32, c: u32, d: u32) -> usize {
@@ -137,10 +201,18 @@ impl CoverageMap {
         (h as usize) % MAP_BITS
     }
 
-    /// Atomically set bit `idx`; `true` when it was previously clear.
-    fn set_bit(map: &[AtomicU64], idx: usize) -> bool {
+    /// Atomically set bit `idx`; `true` when it was previously clear. The
+    /// word is marked in `words` first, so any reader that finds the bit
+    /// through the summary finds the summary bit too.
+    fn set_bit(map: &[AtomicU64], words: &[AtomicU64], idx: usize) -> bool {
         let (word, bit) = (idx / 64, idx % 64);
         let mask = 1u64 << bit;
+        // Read first: a hit on an already-set bit (every repeat branch)
+        // takes no exclusive cache line.
+        if map[word].load(Ordering::Relaxed) & mask != 0 {
+            return false;
+        }
+        mark(words, word);
         map[word].fetch_or(mask, Ordering::Relaxed) & mask == 0
     }
 
@@ -157,8 +229,14 @@ impl CoverageMap {
         let slot = (granule & (LAST_SLOTS as u64 - 1)) as usize;
         let packed = pack_last(granule, site, tid, persistency);
         let prev = self.last[slot >> 3].0[slot & 7].swap(packed, Ordering::Relaxed);
-        if prev & LAST_PRESENT == 0 || (prev ^ packed) >> 47 != 0 {
-            // Empty slot, or a colliding granule got evicted: no pair.
+        if prev & LAST_PRESENT == 0 {
+            // The slot's first record since the last clear: its line needs
+            // clearing next time (a later record finds it marked already).
+            mark(&self.last_lines, slot >> 3);
+            return false;
+        }
+        if (prev ^ packed) >> 47 != 0 {
+            // A colliding granule got evicted: no pair.
             return false;
         }
         if (prev >> 1) & 0xFFFF == (packed >> 1) & 0xFFFF {
@@ -170,7 +248,7 @@ impl CoverageMap {
             site.id() & 0x3FFF_FFFF,
             persistency as u32,
         );
-        let new = Self::set_bit(&self.alias, idx);
+        let new = Self::set_bit(&self.alias, &self.alias_words, idx);
         if new {
             self.alias_count.fetch_add(1, Ordering::Relaxed);
         }
@@ -180,7 +258,7 @@ impl CoverageMap {
     /// Record a branch/basic-block execution; returns `true` when new.
     pub fn record_branch(&self, site: Site) -> bool {
         let idx = Self::mix(site.id(), 0, 0, 1);
-        let new = Self::set_bit(&self.branch, idx);
+        let new = Self::set_bit(&self.branch, &self.branch_words, idx);
         if new {
             self.branch_count.fetch_add(1, Ordering::Relaxed);
         }
@@ -222,19 +300,34 @@ impl CoverageMap {
     /// exactly the bits *it* contributed first, never double-counting a
     /// bit that raced in from a sibling worker.
     pub fn merge_from(&self, other: &CoverageMap) -> (usize, usize) {
-        let or_in = |dst: &[AtomicU64], src: &[AtomicU64]| -> usize {
+        let or_in = |dst: &[AtomicU64],
+                     dst_words: &[AtomicU64],
+                     src: &[AtomicU64],
+                     src_words: &[AtomicU64]|
+         -> usize {
             let mut new = 0usize;
-            for (d, s) in dst.iter().zip(src.iter()) {
-                let bits = s.load(Ordering::Relaxed);
+            for i in marked(src_words) {
+                let bits = src[i].load(Ordering::Relaxed);
                 if bits != 0 {
-                    let old = d.fetch_or(bits, Ordering::Relaxed);
+                    mark(dst_words, i);
+                    let old = dst[i].fetch_or(bits, Ordering::Relaxed);
                     new += (bits & !old).count_ones() as usize;
                 }
             }
             new
         };
-        let new_alias = or_in(&self.alias, &other.alias);
-        let new_branch = or_in(&self.branch, &other.branch);
+        let new_alias = or_in(
+            &self.alias,
+            &self.alias_words,
+            &other.alias,
+            &other.alias_words,
+        );
+        let new_branch = or_in(
+            &self.branch,
+            &self.branch_words,
+            &other.branch,
+            &other.branch_words,
+        );
         self.alias_count.fetch_add(new_alias, Ordering::Relaxed);
         self.branch_count.fetch_add(new_branch, Ordering::Relaxed);
         (new_alias, new_branch)
@@ -243,10 +336,13 @@ impl CoverageMap {
     /// Forget per-address last-access state (campaign boundary) while
     /// keeping accumulated bitmaps.
     pub fn reset_last_access(&self) {
-        for line in self.last.iter() {
-            for slot in line.0.iter() {
+        for line in marked(&self.last_lines) {
+            for slot in &self.last[line].0 {
                 slot.store(0, Ordering::Relaxed);
             }
+        }
+        for w in &self.last_lines {
+            w.store(0, Ordering::Relaxed);
         }
     }
 }

@@ -49,7 +49,7 @@ mod fx;
 mod site;
 
 pub use error::RtError;
-pub use session::{Session, SessionConfig, SyncVarAnnotation};
+pub use session::{Session, SessionConfig, SessionTables, SyncVarAnnotation};
 pub use site::{site_by_label, site_label, site_location, Site};
 pub use taint::{TBytes, TaintSet, TU64};
 pub use view::PmView;

@@ -41,14 +41,14 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use pmrace_pmem::{LoadInfo, PersistState, Pool, ThreadId};
 use pmrace_telemetry as telemetry;
 
-use crate::batch::{self, Slot, TaintFilter, ThreadBuffer};
+use crate::batch::{self, Slot, TaintFilter, ThreadBuffer, CAS, LOADS, STORES};
 use crate::checker::{AccessEvent, Checker};
 use crate::coverage::CoverageMap;
 use crate::fx::FxHashMap;
@@ -127,66 +127,62 @@ pub(crate) enum LoadKind {
     Cas,
 }
 
-/// Per-granule access statistics backing the scheduler's priority queue of
-/// shared PM accesses (§4.2.2). A granule sees a handful of distinct sites
-/// and threads, so linear-scanned vectors beat hash maps on the hot path.
-#[derive(Debug, Clone, Default)]
-struct AccessStats {
-    loads: Vec<(Site, u32)>,
-    stores: Vec<(Site, u32)>,
-    cas: Vec<(Site, u32)>,
-    threads: Vec<ThreadId>,
-}
-
-impl AccessStats {
-    /// Fold `n` batched hits of `site` in (the epoch-flush form of the old
-    /// per-access bump).
-    fn bump_n(sites: &mut Vec<(Site, u32)>, site: Site, n: u32) {
-        if let Some(e) = sites.iter_mut().find(|e| e.0 == site) {
-            e.1 += n;
-        } else {
-            sites.push((site, n));
-        }
-    }
-
-    fn note_thread(&mut self, tid: ThreadId) {
-        if !self.threads.contains(&tid) {
-            self.threads.push(tid);
-        }
-    }
-}
-
-/// One entry of the shared-access summary: a PM address with the load and
-/// store instructions that touched it and how often.
-#[derive(Debug, Clone)]
-pub struct SharedAccessEntry {
-    /// Byte offset of the granule.
-    pub off: u64,
-    /// Load sites with execution counts.
-    pub load_sites: Vec<(Site, u32)>,
-    /// Store sites with execution counts.
-    pub store_sites: Vec<(Site, u32)>,
-    /// CAS sites with execution counts (the read-modify-write instructions
-    /// whose failed attempts are retry decision points).
-    pub cas_sites: Vec<(Site, u32)>,
-    /// Total accesses (priority key; hot shared data first).
-    pub total: u32,
-    /// Distinct threads that touched the granule.
-    pub threads: usize,
-}
-
 /// Number of taint/statistics stripes. Stripes are keyed `granule % 64`, so
 /// the 8 granules of one cache line land in 8 *consecutive* stripes and
 /// neighbouring lines never collide until 64 granules apart.
 const STRIPES: usize = 64;
 
+/// Driver threads a session tells apart: a granule's thread set is a
+/// bitmask, so [`Session::view`] rejects larger thread ids.
+pub const MAX_THREADS: usize = 64;
+
+/// End of a site-count chain.
+const NIL: u32 = u32::MAX;
+
+/// Granule records a stripe keeps across campaigns. Warm campaigns of the
+/// Table 1 targets touch at most ~2,000 granules, no more than 32 in one
+/// stripe; tables a larger campaign grew are shrunk back to this when the
+/// session is recycled, so an exec thread retains at most `STRIPES` × this
+/// many records.
+const RETAIN_PER_STRIPE: usize = 64;
+
 /// Combined per-granule shadow state: taint labels (empty set = untainted)
-/// plus access statistics. One struct so a hook updates both with a single
+/// plus access statistics. One record so a hook updates both with a single
 /// map lookup.
-#[derive(Debug, Clone, Default)]
+///
+/// The statistics back the scheduler's priority queue of shared PM
+/// accesses (§4.2.2): the threads that touched the granule as a bitmask,
+/// and per access kind a chain of `(site, count)` cells in the stripe's
+/// arena. A granule sees a handful of distinct sites, so a linear walk
+/// beats a hash map on the hot path, and the arena keeps its capacity
+/// across campaigns where per-granule vectors would be allocated anew.
+#[derive(Debug)]
 struct GranuleShadow {
+    granule: u64,
     taint: TaintSet,
-    stats: AccessStats,
+    /// Bit `t` is set once thread `t` published an access to the granule.
+    threads: u64,
+    /// Chain heads into [`Stripe::counts`] for loads, stores and CAS reads
+    /// (indexed by `batch::LOADS`, `STORES`, `CAS`).
+    sites: [u32; 3],
+}
+
+impl GranuleShadow {
+    /// Touched by several threads with stores and with loads or CAS reads.
+    /// A granule with CAS traffic but no plain loads is still schedulable:
+    /// failed attempts are retry decision points the strategy can stall on.
+    fn is_shared(&self) -> bool {
+        let [loads, stores, cas] = self.sites;
+        self.threads.count_ones() >= 2 && stores != NIL && (loads != NIL || cas != NIL)
+    }
+}
+
+/// One cell of a granule's site-count chain.
+#[derive(Debug, Clone, Copy)]
+struct SiteCount {
+    site: Site,
+    n: u32,
+    next: u32,
 }
 
 /// One stripe of the per-granule shadow state. Combined so the common store
@@ -194,10 +190,228 @@ struct GranuleShadow {
 /// one hash lookup, not several. Cache-line aligned so adjacent stripes'
 /// mutexes never share a CPU line (threads hash to different stripes by
 /// design; unaligned, their lock traffic would still collide).
+///
+/// Records are dense in first-touch order; `shadows[live..]` are records
+/// of earlier campaigns kept for their taint buffers, reinitialized when a
+/// new granule takes their place.
 #[repr(align(64))]
 #[derive(Debug, Default)]
 struct Stripe {
-    shadow: FxHashMap<u64, GranuleShadow>,
+    index: FxHashMap<u64, u32>,
+    shadows: Vec<GranuleShadow>,
+    live: usize,
+    counts: Vec<SiteCount>,
+}
+
+impl Stripe {
+    fn get(&self, g: u64) -> Option<&GranuleShadow> {
+        self.index.get(&g).map(|&i| &self.shadows[i as usize])
+    }
+
+    fn get_mut(&mut self, g: u64) -> Option<&mut GranuleShadow> {
+        self.index.get(&g).map(|&i| &mut self.shadows[i as usize])
+    }
+
+    /// Index of `g`'s record, creating an empty one on first touch.
+    fn entry(&mut self, g: u64) -> usize {
+        let i = self.live;
+        match self.index.entry(g) {
+            std::collections::hash_map::Entry::Occupied(e) => return *e.get() as usize,
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(u32::try_from(i).expect("stripe overflow"));
+            }
+        }
+        self.live += 1;
+        if let Some(sh) = self.shadows.get_mut(i) {
+            sh.granule = g;
+            sh.taint.clear();
+            sh.threads = 0;
+            sh.sites = [NIL; 3];
+        } else {
+            self.shadows.push(GranuleShadow {
+                granule: g,
+                taint: TaintSet::empty(),
+                threads: 0,
+                sites: [NIL; 3],
+            });
+        }
+        i
+    }
+
+    /// Add `n` hits of `site` to record `i`'s chain of `kind`.
+    fn bump(&mut self, i: usize, kind: usize, site: Site, n: u32) {
+        let mut at = self.shadows[i].sites[kind];
+        while at != NIL {
+            let cell = &mut self.counts[at as usize];
+            if cell.site == site {
+                cell.n += n;
+                return;
+            }
+            at = cell.next;
+        }
+        let head = u32::try_from(self.counts.len()).expect("stripe overflow");
+        self.counts.push(SiteCount {
+            site,
+            n,
+            next: self.shadows[i].sites[kind],
+        });
+        self.shadows[i].sites[kind] = head;
+    }
+
+    /// The `(site, count)` cells of one chain.
+    fn chain(&self, head: u32) -> impl Iterator<Item = (Site, u32)> + '_ {
+        let mut at = head;
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let cell = self.counts[at as usize];
+                at = cell.next;
+                (cell.site, cell.n)
+            })
+        })
+    }
+
+    /// This campaign's records.
+    fn live(&self) -> &[GranuleShadow] {
+        &self.shadows[..self.live]
+    }
+
+    /// Forget this campaign's records in O(touched), shrinking tables
+    /// that grew past [`RETAIN_PER_STRIPE`].
+    fn reset(&mut self) {
+        if self.live == 0 {
+            return;
+        }
+        self.index.clear();
+        self.live = 0;
+        self.counts.clear();
+        // No-ops unless a campaign grew a table past its bound.
+        self.shadows.truncate(RETAIN_PER_STRIPE);
+        self.shadows.shrink_to(RETAIN_PER_STRIPE);
+        self.index.shrink_to(RETAIN_PER_STRIPE);
+        self.counts.shrink_to(4 * RETAIN_PER_STRIPE);
+    }
+}
+
+/// One entry of the shared-access summary, as stored: the granule's site
+/// lists are `sites[start..ends[0]]` (loads), `sites[ends[0]..ends[1]]`
+/// (stores) and `sites[ends[1]..ends[2]]` (CAS reads).
+#[derive(Debug, Clone, Copy)]
+struct SharedSlot {
+    off: u64,
+    total: u32,
+    threads: u32,
+    start: u32,
+    ends: [u32; 3],
+}
+
+/// Shared-PM-access summary for the scheduler's priority queue (see
+/// [`Session::shared_accesses`]): granules touched by several threads with
+/// both loads and stores, hottest first. All entries' site lists live back
+/// to back in one buffer, so the summary is two growing buffers however
+/// many granules it holds.
+#[derive(Debug, Clone, Default)]
+pub struct SharedAccesses {
+    entries: Vec<SharedSlot>,
+    sites: Vec<(Site, u32)>,
+}
+
+/// One entry of the shared-access summary: a PM address with the load and
+/// store instructions that touched it and how often.
+#[derive(Debug, Clone, Copy)]
+pub struct SharedAccessEntry<'a> {
+    /// Byte offset of the granule.
+    pub off: u64,
+    /// Load sites with execution counts, most frequent first.
+    pub load_sites: &'a [(Site, u32)],
+    /// Store sites with execution counts, most frequent first.
+    pub store_sites: &'a [(Site, u32)],
+    /// CAS sites with execution counts (the read-modify-write instructions
+    /// whose failed attempts are retry decision points), most frequent
+    /// first.
+    pub cas_sites: &'a [(Site, u32)],
+    /// Total accesses (priority key; hot shared data first).
+    pub total: u32,
+    /// Distinct threads that touched the granule.
+    pub threads: usize,
+}
+
+impl SharedAccesses {
+    /// Empty summary.
+    #[must_use]
+    pub fn new() -> Self {
+        SharedAccesses::default()
+    }
+
+    /// Number of shared granules.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no granule was shared.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Entries, hottest first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = SharedAccessEntry<'_>> + '_ {
+        self.entries.iter().map(|e| {
+            let [loads, stores, cas] = e.ends.map(|end| end as usize);
+            SharedAccessEntry {
+                off: e.off,
+                load_sites: &self.sites[e.start as usize..loads],
+                store_sites: &self.sites[loads..stores],
+                cas_sites: &self.sites[stores..cas],
+                total: e.total,
+                threads: e.threads as usize,
+            }
+        })
+    }
+
+    /// Append one granule's entry. Each site list is ordered most frequent
+    /// first (ties by site id) and the total is the sum of all counts;
+    /// entries keep their insertion order.
+    pub fn push(
+        &mut self,
+        off: u64,
+        load_sites: &[(Site, u32)],
+        store_sites: &[(Site, u32)],
+        cas_sites: &[(Site, u32)],
+        threads: usize,
+    ) {
+        self.push_with(off, threads, |kind, out| {
+            out.extend_from_slice([load_sites, store_sites, cas_sites][kind]);
+        });
+    }
+
+    /// Append one entry whose `kind`'s sites `fill` appends to the buffer.
+    fn push_with(
+        &mut self,
+        off: u64,
+        threads: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(Site, u32)>),
+    ) {
+        let start = self.sites.len();
+        let mut ends = [0u32; 3];
+        let mut from = start;
+        for (kind, end) in ends.iter_mut().enumerate() {
+            fill(kind, &mut self.sites);
+            // Site ids are distinct within a list, so the unstable sort is
+            // a total order (and allocates no scratch buffer).
+            self.sites[from..].sort_unstable_by_key(|&(s, c)| (std::cmp::Reverse(c), s.id()));
+            from = self.sites.len();
+            *end = u32::try_from(from).expect("shared summary overflow");
+        }
+        let total = self.sites[start..].iter().map(|&(_, c)| c).sum();
+        self.entries.push(SharedSlot {
+            off,
+            total,
+            threads: u32::try_from(threads).expect("thread count overflow"),
+            start: u32::try_from(start).expect("shared summary overflow"),
+            ends,
+        });
+    }
 }
 
 /// One 64-byte-padded PM-event counter cell; threads bump the cell indexed
@@ -210,6 +424,12 @@ struct EventCell(AtomicU64);
 /// Number of [`EventCell`]s (covers the paper's 4-thread campaigns with
 /// headroom; higher thread ids wrap).
 const EVENT_CELLS: usize = 8;
+
+/// The strategy a session starts with: one process-wide passive no-op.
+fn noop_strategy() -> Arc<dyn InterleaveStrategy> {
+    static NOOP: OnceLock<Arc<dyn InterleaveStrategy>> = OnceLock::new();
+    Arc::clone(NOOP.get_or_init(|| Arc::new(NoopStrategy)))
+}
 
 fn stripe_of(g: u64) -> usize {
     (g % STRIPES as u64) as usize
@@ -242,13 +462,83 @@ struct Reports {
     inconsistencies: Vec<InconsistencyRecord>,
     incons_index: HashSet<(u32, u32, u32)>,
     sync_updates: Vec<SyncUpdateRecord>,
-    sync_index: HashSet<(String, u32)>,
+    sync_index: HashSet<String>,
     perf_issues: Vec<crate::report::PerfIssueRecord>,
     images_captured: usize,
 }
 
+impl Reports {
+    /// Empty every stream and index, keeping the indices' tables.
+    fn reset(&mut self) {
+        self.candidates.clear();
+        self.candidate_index.clear();
+        self.inconsistencies.clear();
+        self.incons_index.clear();
+        self.sync_updates.clear();
+        self.sync_index.clear();
+        self.perf_issues.clear();
+        self.images_captured = 0;
+    }
+}
+
+/// The tables a finished session leaves for the next campaign on the same
+/// exec thread ([`Session::retire`], [`Session::recycle`]): the coverage
+/// map, trace rings, shadow stripes, report indices, and checker and
+/// annotation registries, each with its allocations. Holds no pool.
+pub struct SessionTables {
+    coverage: Arc<CoverageMap>,
+    trace: TraceBuffers,
+    stripes: Box<[Mutex<Stripe>]>,
+    reports: Reports,
+    annotations: Vec<SyncVarAnnotation>,
+    checkers: Vec<Arc<dyn Checker>>,
+}
+
+impl std::fmt::Debug for SessionTables {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionTables").finish_non_exhaustive()
+    }
+}
+
+impl SessionTables {
+    fn new(trace_depth: usize) -> Self {
+        SessionTables {
+            coverage: Arc::new(CoverageMap::new()),
+            trace: TraceBuffers::new(trace_depth),
+            stripes: (0..STRIPES)
+                .map(|_| Mutex::new(Stripe::default()))
+                .collect(),
+            reports: Reports::default(),
+            annotations: Vec::new(),
+            checkers: Vec::new(),
+        }
+    }
+
+    /// Empty every table for a new campaign, in O(what the last campaign
+    /// touched). The coverage map is cleared in place once the previous
+    /// campaign's result has let go of it, and replaced otherwise.
+    fn reset(&mut self, trace_depth: usize) {
+        match Arc::get_mut(&mut self.coverage) {
+            Some(coverage) => coverage.clear(),
+            None => self.coverage = Arc::new(CoverageMap::new()),
+        }
+        self.trace.reset(trace_depth);
+        for stripe in self.stripes.iter_mut() {
+            stripe.get_mut().reset();
+        }
+        self.reports.reset();
+        self.annotations.clear();
+        self.checkers.clear();
+    }
+}
+
 /// A fuzz-campaign session: owns all checker state for one execution of the
 /// target. Create per-thread [`PmView`]s with [`Session::view`].
+///
+/// A campaign loop recycles its sessions: [`Session::retire`] takes the
+/// tables back from a finished session that nothing else holds, and
+/// [`Session::recycle`] resets them for the next campaign in O(touched),
+/// the way `Pool::restore_delta` resets a pool.
 pub struct Session {
     pool: Arc<Pool>,
     cfg: SessionConfig,
@@ -305,20 +595,78 @@ impl Session {
     /// Create a session over `pool` with the given configuration.
     #[must_use]
     pub fn new(pool: Arc<Pool>, cfg: SessionConfig) -> Arc<Self> {
-        let trace_depth = cfg.trace_depth;
+        let tables = SessionTables::new(cfg.trace_depth);
+        Self::assemble(pool, cfg, tables)
+    }
+
+    /// A session over `pool` built from a retired session's tables, reset
+    /// in O(what the last campaign touched). Behaves exactly like
+    /// [`Session::new`]`(pool, cfg)`.
+    #[must_use]
+    pub fn recycle(mut tables: SessionTables, pool: Arc<Pool>, cfg: SessionConfig) -> Arc<Self> {
+        tables.reset(cfg.trace_depth);
+        Self::assemble(pool, cfg, tables)
+    }
+
+    /// Take the tables back from a finished session, dropping its pool,
+    /// configuration, strategy and per-campaign flags. `None` while anything
+    /// else (a view, a driver, a target) still holds the session.
+    #[must_use]
+    pub fn retire(this: Arc<Self>) -> Option<SessionTables> {
+        // Exhaustive on purpose: a new field must be sorted into "kept" or
+        // "rebuilt per campaign" here.
+        let Session {
+            pool: _,
+            cfg: _,
+            start: _,
+            coverage,
+            trace,
+            stripes,
+            reports,
+            annotations,
+            strategy: _,
+            checkers,
+            passive_strategy: _,
+            has_checkers: _,
+            has_annotations: _,
+            halted: _,
+            hang: _,
+            check_ctr: _,
+            progress: _,
+            pm_events: _,
+            taint_filter: _,
+            strategy_gen: _,
+        } = Arc::into_inner(this)?;
+        Some(SessionTables {
+            coverage,
+            trace,
+            stripes,
+            reports: reports.into_inner(),
+            annotations: annotations.into_inner(),
+            checkers: checkers.into_inner(),
+        })
+    }
+
+    fn assemble(pool: Arc<Pool>, cfg: SessionConfig, tables: SessionTables) -> Arc<Self> {
+        let SessionTables {
+            coverage,
+            trace,
+            stripes,
+            reports,
+            annotations,
+            checkers,
+        } = tables;
         Arc::new(Session {
             pool,
             cfg,
             start: Instant::now(),
-            coverage: Arc::new(CoverageMap::new()),
-            trace: TraceBuffers::new(trace_depth),
-            stripes: (0..STRIPES)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
-            reports: Mutex::new(Reports::default()),
-            annotations: RwLock::new(Vec::new()),
-            strategy: RwLock::new(Arc::new(NoopStrategy)),
-            checkers: RwLock::new(Vec::new()),
+            coverage,
+            trace,
+            stripes,
+            reports: Mutex::new(reports),
+            annotations: RwLock::new(annotations),
+            strategy: RwLock::new(noop_strategy()),
+            checkers: RwLock::new(checkers),
             passive_strategy: AtomicBool::new(true),
             has_checkers: AtomicBool::new(false),
             has_annotations: AtomicBool::new(false),
@@ -384,11 +732,25 @@ impl Session {
         self.annotations.read().clone()
     }
 
+    /// Number of registered annotations.
+    #[must_use]
+    pub fn annotation_count(&self) -> usize {
+        self.annotations.read().len()
+    }
+
     /// Create the instrumented access handle for a target thread. The view
     /// owns its metadata buffer; dropping it (or [`PmView::flush`])
     /// publishes any still-batched statistics to this session.
+    ///
+    /// # Panics
+    ///
+    /// When `tid` is [`MAX_THREADS`] or more.
     #[must_use]
     pub fn view(self: &Arc<Self>, tid: ThreadId) -> PmView {
+        assert!(
+            (tid.0 as usize) < MAX_THREADS,
+            "{tid} exceeds the session's {MAX_THREADS} driver threads"
+        );
         PmView::new(Arc::clone(self), tid)
     }
 
@@ -495,8 +857,9 @@ impl Session {
         let site = Site::from_id(buf.cas_cache.site);
         let n = buf.cas_cache.pending;
         buf.cas_cache.pending = 0;
+        let tid = buf.tid;
         let slot = self.touch_slot(buf, g);
-        batch::bump_site_n(&mut slot.cas, site, n);
+        self.count(tid, slot, CAS, site, n);
     }
 
     /// Drain one thread buffer: granule slots (in first-touch order), then
@@ -555,25 +918,36 @@ impl Session {
             slot.cov_first = batch::NO_COV;
             slot.cov_last = batch::NO_COV;
         }
-        if !(slot.loads.is_empty() && slot.stores.is_empty() && slot.cas.is_empty()) {
-            let mut stripe = self.stripes[stripe_of(g)].lock();
-            let sh = stripe.shadow.entry(g).or_default();
-            for &(site, n) in &slot.loads {
-                AccessStats::bump_n(&mut sh.stats.loads, site, n);
-            }
-            for &(site, n) in &slot.stores {
-                AccessStats::bump_n(&mut sh.stats.stores, site, n);
-            }
-            for &(site, n) in &slot.cas {
-                AccessStats::bump_n(&mut sh.stats.cas, site, n);
-            }
-            sh.stats.note_thread(tid);
-            drop(stripe);
-            slot.loads.clear();
-            slot.stores.clear();
-            slot.cas.clear();
-        }
+        self.fold_counts(tid, slot);
         slot.in_epoch = false;
+    }
+
+    /// Move a slot's site counts into its granule's stripe record.
+    fn fold_counts(&self, tid: ThreadId, slot: &mut Slot) {
+        if slot.counts.iter().all(batch::SiteCounts::is_empty) {
+            return;
+        }
+        let mut stripe = self.stripes[stripe_of(slot.granule)].lock();
+        let i = stripe.entry(slot.granule);
+        for (kind, counts) in slot.counts.iter_mut().enumerate() {
+            for &(site, n) in counts.as_slice() {
+                stripe.bump(i, kind, site, n);
+            }
+            counts.clear();
+        }
+        stripe.shadows[i].threads |= 1 << tid.0;
+    }
+
+    /// Count `n` hits of `site` as `kind` in `slot`. When the kind's cells
+    /// are full, the slot's counts are folded into the stripe first: the
+    /// totals the stripe ends up with are the same either way.
+    #[inline]
+    fn count(&self, tid: ThreadId, slot: &mut Slot, kind: usize, site: Site, n: u32) {
+        if !slot.counts[kind].bump(site, n) {
+            self.fold_counts(tid, slot);
+            let counted = slot.counts[kind].bump(site, n);
+            debug_assert!(counted, "an emptied slot has room");
+        }
     }
 
     /// The granule slot for `g`, enrolling it in this epoch's `used` list.
@@ -645,7 +1019,7 @@ impl Session {
     /// `kind` is [`LoadKind::Cas`] for the load half of read-modify-write
     /// instructions: they still mint candidates and coverage, but the
     /// scheduler cannot inject `cond_wait` *before* them, so they are
-    /// tallied separately (`AccessStats::cas`) and surface in the priority
+    /// tallied separately (the granule's CAS chain) and surface in the priority
     /// queue as CAS-retry decision points rather than gateable load sites.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_load(
@@ -665,6 +1039,10 @@ impl Session {
         }
         buf.trace.push(TraceKind::Load, site, off, len as u32);
         let packed = batch::pack_cov(site, info.unpersisted);
+        let counted = match kind {
+            LoadKind::Plain => LOADS,
+            LoadKind::Cas => CAS,
+        };
         let mut taint = TaintSet::empty();
         for g in granules(off, len) {
             let slot = self.touch_slot(buf, g);
@@ -672,16 +1050,13 @@ impl Session {
                 slot.cov_first = packed;
             }
             slot.cov_last = packed;
-            match kind {
-                LoadKind::Plain => batch::bump_site(&mut slot.loads, site),
-                LoadKind::Cas => batch::bump_site(&mut slot.cas, site),
-            }
+            self.count(tid, slot, counted, site, 1);
             // Shadow taint stays write-through (detection semantics); the
             // monotone filter skips the stripe lock when the granule has
             // never been tainted — the overwhelmingly common case.
             if self.taint_filter.maybe_tainted(g) {
                 let stripe = self.stripes[stripe_of(g)].lock();
-                if let Some(sh) = stripe.shadow.get(&g) {
+                if let Some(sh) = stripe.get(g) {
                     if !sh.taint.is_empty() {
                         taint.union_with(&sh.taint);
                     }
@@ -784,52 +1159,48 @@ impl Session {
                 slot.cov_first = packed;
             }
             slot.cov_last = packed;
-            batch::bump_site(&mut slot.stores, site);
+            self.count(tid, slot, STORES, site, 1);
             // Shadow taint stays write-through. Setting taint marks the
             // granule in the monotone filter; clearing only needs the
             // stripe when the filter says the granule may hold stale taint.
             if value_taint.is_empty() {
                 if self.taint_filter.maybe_tainted(g) {
                     let mut stripe = self.stripes[stripe_of(g)].lock();
-                    if let Some(sh) = stripe.shadow.get_mut(&g) {
-                        if !sh.taint.is_empty() {
-                            sh.taint = TaintSet::empty();
-                        }
+                    if let Some(sh) = stripe.get_mut(g) {
+                        sh.taint.clear();
                     }
                 }
             } else {
                 self.taint_filter.mark(g);
                 let mut stripe = self.stripes[stripe_of(g)].lock();
-                stripe.shadow.entry(g).or_default().taint = value_taint.clone();
+                let i = stripe.entry(g);
+                stripe.shadows[i].taint.clone_from(value_taint);
             }
         }
 
         // Durable side effect? Ignore labels whose own dependent data is
         // what this store (re)writes — per Definition 2, rewriting the
         // non-persisted data itself is not a side effect of it.
-        let mut effect_labels: Vec<(u32, EffectKind)> = Vec::new();
-        for l in addr_taint.iter() {
-            effect_labels.push((l, EffectKind::Address));
-        }
-        for l in value_taint.iter() {
-            if !addr_taint.contains(l) {
-                effect_labels.push((l, EffectKind::Value));
-            }
-        }
-        // Overlapping sync-var annotations, collected before the reports
-        // lock (annotations is never acquired while holding reports).
-        let anns: Vec<SyncVarAnnotation> =
-            if effect_labels.is_empty() && !self.has_annotations.load(Ordering::Relaxed) {
-                Vec::new()
-            } else {
-                self.annotations
-                    .read()
+        let effect_labels = || {
+            addr_taint.iter().map(|l| (l, EffectKind::Address)).chain(
+                value_taint
                     .iter()
-                    .filter(|a| overlaps(a.off, a.size, off, len))
-                    .cloned()
-                    .collect()
-            };
-        if effect_labels.is_empty() && anns.is_empty() {
+                    .filter(|&l| !addr_taint.contains(l))
+                    .map(|l| (l, EffectKind::Value)),
+            )
+        };
+        let has_effects = effect_labels().next().is_some();
+        // Overlapping sync-var annotations. The read guard is held across
+        // the reports lock below (annotations, then reports: nothing takes
+        // annotations while holding reports).
+        let anns = (has_effects || self.has_annotations.load(Ordering::Relaxed))
+            .then(|| self.annotations.read());
+        let overlapping = || {
+            anns.iter()
+                .flat_map(|a| a.iter())
+                .filter(|a| overlaps(a.off, a.size, off, len))
+        };
+        if !has_effects && overlapping().next().is_none() {
             self.run_checkers(|c, out| {
                 c.on_store(
                     &AccessEvent {
@@ -850,7 +1221,7 @@ impl Session {
         buf.trace.flush_into(tid, &self.trace);
         let mut reports = self.reports.lock();
         let mut new_records: Vec<InconsistencyRecord> = Vec::new();
-        for (label, kind) in effect_labels {
+        for (label, kind) in effect_labels() {
             let Some(cand) = reports.candidates.get(label as usize).cloned() else {
                 continue;
             };
@@ -895,16 +1266,17 @@ impl Session {
         reports.inconsistencies.extend(new_records);
 
         // PM Synchronization Inconsistency: store into an annotated region.
-        for ann in anns {
+        for ann in overlapping() {
             let new_value = self.pool.load_u64(ann.off).map(|(v, _)| v).unwrap_or(0);
             if new_value == ann.init_val {
                 // Restoring the annotated initial value (e.g. a lock
                 // release) is not an inconsistency risk.
                 continue;
             }
-            if !reports.sync_index.insert((ann.name.clone(), 0)) {
+            if reports.sync_index.contains(&ann.name) {
                 continue; // each sync variable's update type checked once (§4.3)
             }
+            reports.sync_index.insert(ann.name.clone());
             let capture = self.cfg.capture_crash_images
                 && reports.images_captured < self.cfg.max_crash_images;
             if capture {
@@ -932,6 +1304,7 @@ impl Session {
             });
         }
         drop(reports);
+        drop(anns);
         self.run_checkers(|c, out| {
             c.on_store(
                 &AccessEvent {
@@ -1079,44 +1452,22 @@ impl Session {
     /// Shared-PM-access summary for the scheduler's priority queue: granules
     /// touched by several threads with both loads and stores, hottest first.
     #[must_use]
-    pub fn shared_accesses(&self) -> Vec<SharedAccessEntry> {
-        let mut out: Vec<SharedAccessEntry> = Vec::new();
+    pub fn shared_accesses(&self) -> SharedAccesses {
+        let mut out = SharedAccesses::new();
         for stripe in self.stripes.iter() {
             let stripe = stripe.lock();
-            out.extend(
-                stripe
-                    .shadow
-                    .iter()
-                    .filter(|(_, sh)| {
-                        // A granule with CAS traffic but no plain loads is
-                        // still schedulable: failed attempts are retry
-                        // decision points the strategy can stall on.
-                        sh.stats.threads.len() >= 2
-                            && !sh.stats.stores.is_empty()
-                            && (!sh.stats.loads.is_empty() || !sh.stats.cas.is_empty())
-                    })
-                    .map(|(&g, sh)| {
-                        let mut load_sites = sh.stats.loads.clone();
-                        let mut store_sites = sh.stats.stores.clone();
-                        let mut cas_sites = sh.stats.cas.clone();
-                        load_sites.sort_by_key(|&(s, c)| (std::cmp::Reverse(c), s.id()));
-                        store_sites.sort_by_key(|&(s, c)| (std::cmp::Reverse(c), s.id()));
-                        cas_sites.sort_by_key(|&(s, c)| (std::cmp::Reverse(c), s.id()));
-                        let total = sh.stats.loads.iter().map(|&(_, c)| c).sum::<u32>()
-                            + sh.stats.stores.iter().map(|&(_, c)| c).sum::<u32>()
-                            + sh.stats.cas.iter().map(|&(_, c)| c).sum::<u32>();
-                        SharedAccessEntry {
-                            off: g * 8,
-                            load_sites,
-                            store_sites,
-                            cas_sites,
-                            total,
-                            threads: sh.stats.threads.len(),
-                        }
-                    }),
-            );
+            for sh in stripe.live().iter().filter(|sh| sh.is_shared()) {
+                out.push_with(
+                    sh.granule * 8,
+                    sh.threads.count_ones() as usize,
+                    |kind, buf| {
+                        buf.extend(stripe.chain(sh.sites[kind]));
+                    },
+                );
+            }
         }
-        out.sort_by_key(|e| (std::cmp::Reverse(e.total), e.off));
+        out.entries
+            .sort_unstable_by_key(|e| (std::cmp::Reverse(e.total), e.off));
         out
     }
 
@@ -1132,10 +1483,10 @@ impl Session {
             let stripe = stripe.lock();
             out.extend(
                 stripe
-                    .shadow
+                    .live()
                     .iter()
-                    .filter(|(_, sh)| !sh.stats.stores.is_empty())
-                    .map(|(&g, _)| g * 8),
+                    .filter(|sh| sh.sites[STORES] != NIL)
+                    .map(|sh| sh.granule * 8),
             );
         }
         out
@@ -1228,6 +1579,35 @@ mod tests {
         });
         assert_eq!(s.annotations().len(), 1);
         assert_eq!(s.annotations()[0].name, "lock");
+    }
+
+    #[test]
+    fn a_granule_with_many_sites_keeps_every_count() {
+        // More distinct sites on one granule in one epoch than a slot
+        // counts inline: the slot folds early and no count is lost.
+        let s = session();
+        let (a, b) = (s.view(ThreadId(0)), s.view(ThreadId(1)));
+        let stores = [
+            crate::site!("many.s0"),
+            crate::site!("many.s1"),
+            crate::site!("many.s2"),
+            crate::site!("many.s3"),
+            crate::site!("many.s4"),
+            crate::site!("many.s5"),
+        ];
+        for (i, &site) in stores.iter().enumerate() {
+            for _ in 0..=i {
+                a.store_u64(64u64, 1, site).unwrap();
+            }
+        }
+        let _ = b.load_u64(64u64, crate::site!("many.l")).unwrap();
+        drop((a, b));
+        let shared = s.shared_accesses();
+        let e = shared.iter().next().expect("granule 8 is shared");
+        let mut want: Vec<(Site, u32)> = stores.iter().zip(1..).map(|(&s, n)| (s, n)).collect();
+        want.reverse();
+        assert_eq!(e.store_sites, &want[..]);
+        assert_eq!(e.total, 21 + 1);
     }
 
     #[test]

@@ -10,11 +10,103 @@
 use std::fmt;
 use std::ops::{Add, BitAnd, BitOr, BitXor, Mul, Rem, Shl, Shr, Sub};
 
+/// Labels a set holds without a heap buffer. Nearly every tainted value
+/// depends on one or two candidates, and target code clones tainted words
+/// freely, so small sets must not allocate.
+const INLINE: usize = 3;
+
+/// Sorted, deduplicated labels: inline up to [`INLINE`] of them, on the
+/// heap beyond. A heap set stays on the heap when it shrinks (a shadow
+/// granule's taint is overwritten in place), so compare through
+/// [`Labels::as_slice`], never the representation.
+#[derive(Clone)]
+enum Labels {
+    Inline { len: u8, buf: [u32; INLINE] },
+    Heap(Vec<u32>),
+}
+
+impl Labels {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Labels::Inline { len, buf } => &buf[..*len as usize],
+            Labels::Heap(v) => v,
+        }
+    }
+}
+
 /// Set of candidate ids a value depends on. Small and usually empty; stored
-/// as a sorted, deduplicated vector.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+/// sorted and deduplicated, inline while it is small.
 pub struct TaintSet {
-    labels: Vec<u32>,
+    labels: Labels,
+}
+
+impl Default for TaintSet {
+    fn default() -> Self {
+        TaintSet {
+            labels: Labels::Inline {
+                len: 0,
+                buf: [0; INLINE],
+            },
+        }
+    }
+}
+
+impl Clone for TaintSet {
+    fn clone(&self) -> Self {
+        match &self.labels {
+            Labels::Heap(v) if v.len() <= INLINE => {
+                let mut out = TaintSet::empty();
+                out.clone_from(self);
+                out
+            }
+            labels => TaintSet {
+                labels: labels.clone(),
+            },
+        }
+    }
+
+    /// Reuses `self`'s buffer: shadow memory overwrites a granule's taint
+    /// in place on every tainted store.
+    fn clone_from(&mut self, source: &Self) {
+        let src = source.as_slice();
+        match &mut self.labels {
+            Labels::Heap(v) => {
+                v.clear();
+                v.extend_from_slice(src);
+            }
+            inline if src.len() <= INLINE => {
+                let mut buf = [0; INLINE];
+                buf[..src.len()].copy_from_slice(src);
+                *inline = Labels::Inline {
+                    len: src.len() as u8,
+                    buf,
+                };
+            }
+            labels => *labels = Labels::Heap(src.to_vec()),
+        }
+    }
+}
+
+impl fmt::Debug for TaintSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TaintSet")
+            .field("labels", &self.as_slice())
+            .finish()
+    }
+}
+
+impl PartialEq for TaintSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for TaintSet {}
+
+impl std::hash::Hash for TaintSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
 }
 
 impl TaintSet {
@@ -27,37 +119,51 @@ impl TaintSet {
     /// A singleton set.
     #[must_use]
     pub fn single(label: u32) -> Self {
-        TaintSet {
-            labels: vec![label],
-        }
+        let mut s = TaintSet::empty();
+        s.insert(label);
+        s
+    }
+
+    /// The labels, ascending.
+    fn as_slice(&self) -> &[u32] {
+        self.labels.as_slice()
     }
 
     /// `true` when the value carries no taint.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.as_slice().is_empty()
+    }
+
+    /// Remove every label, keeping the buffer.
+    pub fn clear(&mut self) {
+        match &mut self.labels {
+            Labels::Inline { len, .. } => *len = 0,
+            Labels::Heap(v) => v.clear(),
+        }
     }
 
     /// Number of labels.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.as_slice().len()
     }
 
     /// Membership test.
     #[must_use]
     pub fn contains(&self, label: u32) -> bool {
-        self.labels.binary_search(&label).is_ok()
+        self.as_slice().binary_search(&label).is_ok()
     }
 
     /// Union in-place.
     pub fn union_with(&mut self, other: &TaintSet) {
-        if other.labels.is_empty() {
-            return;
-        }
-        for &l in &other.labels {
-            if let Err(pos) = self.labels.binary_search(&l) {
-                self.labels.insert(pos, l);
+        match (self.is_empty(), other.as_slice()) {
+            (_, []) => {}
+            (true, _) => self.clone_from(other),
+            (false, labels) => {
+                for &l in labels {
+                    self.insert(l);
+                }
             }
         }
     }
@@ -72,21 +178,36 @@ impl TaintSet {
 
     /// Add one label.
     pub fn insert(&mut self, label: u32) {
-        if let Err(pos) = self.labels.binary_search(&label) {
-            self.labels.insert(pos, label);
+        let Err(pos) = self.as_slice().binary_search(&label) else {
+            return;
+        };
+        match &mut self.labels {
+            Labels::Inline { len, buf } if (*len as usize) < INLINE => {
+                let n = *len as usize;
+                buf.copy_within(pos..n, pos + 1);
+                buf[pos] = label;
+                *len += 1;
+            }
+            Labels::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(buf);
+                v.insert(pos, label);
+                self.labels = Labels::Heap(v);
+            }
+            Labels::Heap(v) => v.insert(pos, label),
         }
     }
 
     /// Iterate over labels in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.labels.iter().copied()
+        self.as_slice().iter().copied()
     }
 }
 
 impl fmt::Display for TaintSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, l) in self.labels.iter().enumerate() {
+        for (i, l) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -201,9 +322,11 @@ macro_rules! impl_bin_op {
         impl $trait for TU64 {
             type Output = TU64;
             fn $method(self, rhs: TU64) -> TU64 {
+                let mut taint = self.taint;
+                taint.union_with(&rhs.taint);
                 TU64 {
                     val: self.val $op rhs.val,
-                    taint: self.taint.union(&rhs.taint),
+                    taint,
                 }
             }
         }
@@ -328,6 +451,52 @@ mod tests {
         assert!(a.contains(2));
         assert!(!a.contains(3));
         assert_eq!(a.len(), 2);
+    }
+
+    #[test]
+    fn inline_and_heap_sets_match_a_btreeset() {
+        // Random inserts, unions, in-place overwrites and clears across the
+        // inline/heap boundary, checked against the obvious reference.
+        use std::collections::BTreeSet;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut sets = vec![TaintSet::empty(); 4];
+        let mut refs = vec![BTreeSet::new(); 4];
+        for _ in 0..4000 {
+            let (i, j) = (next(4) as usize, next(4) as usize);
+            match next(5) {
+                0 | 1 => {
+                    let l = next(12) as u32;
+                    sets[i].insert(l);
+                    refs[i].insert(l);
+                }
+                2 => {
+                    let other = sets[j].clone();
+                    sets[i].union_with(&other);
+                    let other = refs[j].clone();
+                    refs[i].extend(other);
+                }
+                3 => {
+                    let src = sets[j].clone();
+                    sets[i].clone_from(&src);
+                    refs[i] = refs[j].clone();
+                }
+                _ => {
+                    sets[i].clear();
+                    refs[i].clear();
+                }
+            }
+            let want: Vec<u32> = refs[i].iter().copied().collect();
+            assert_eq!(sets[i].iter().collect::<Vec<_>>(), want);
+            assert_eq!(sets[i].len(), want.len());
+            assert_eq!(sets[i], want.iter().copied().collect::<TaintSet>());
+            assert!(want.iter().all(|&l| sets[i].contains(l)));
+        }
     }
 
     #[test]

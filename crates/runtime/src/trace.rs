@@ -104,6 +104,13 @@ impl TraceRing {
         self.capacity == 0
     }
 
+    /// Empty the ring and restart its sequence, keeping the buffer.
+    fn reset(&mut self, capacity: usize) {
+        self.buf.clear();
+        self.capacity = capacity;
+        self.next_seq = 0;
+    }
+
     /// Append a pre-stamped event (dropping the oldest beyond capacity).
     fn push_event(&mut self, ev: TraceEvent) {
         if self.capacity == 0 {
@@ -194,6 +201,16 @@ impl TraceBuffers {
         self.depth == 0
     }
 
+    /// Empty every ring and restart the global sequence, keeping the ring
+    /// buffers (a recycled session starts its trace from scratch).
+    pub(crate) fn reset(&mut self, depth: usize) {
+        for ring in self.rings.iter_mut() {
+            ring.get_mut().reset(depth);
+        }
+        *self.seq.get_mut() = 0;
+        self.depth = depth;
+    }
+
     /// Record one event into the calling thread's ring.
     pub fn push(&self, tid: ThreadId, kind: TraceKind, site: Site, off: u64, len: usize) {
         if self.depth == 0 {
@@ -248,9 +265,19 @@ impl TraceBuffers {
     /// Merge all rings and return the most recent `n` events, oldest first.
     #[must_use]
     pub fn snapshot(&self, n: usize) -> Vec<TraceEvent> {
-        let mut all: Vec<TraceEvent> = Vec::new();
+        // Only a ring's newest `n` events can be among the newest `n`
+        // overall. Size the buffer first so a snapshot is one allocation.
+        let newest = |ring: &TraceRing| ring.buf.len().min(n);
+        let cap = self.rings.iter().map(|r| newest(&r.lock())).sum();
+        let mut all: Vec<TraceEvent> = Vec::with_capacity(cap);
         for ring in self.rings.iter() {
-            all.extend(ring.lock().buf.iter().copied());
+            let ring = ring.lock();
+            all.extend(
+                ring.buf
+                    .iter()
+                    .skip(ring.buf.len() - newest(&ring))
+                    .copied(),
+            );
         }
         all.sort_unstable_by_key(|e| e.seq);
         let skip = all.len().saturating_sub(n);

@@ -878,6 +878,7 @@ mod tests {
         a.flush();
         b.flush();
         let shared = s.session().shared_accesses();
+        let shared: Vec<_> = shared.iter().collect();
         assert_eq!(shared.len(), 2);
         assert_eq!(shared[0].off, 64);
         assert!(shared[0].total > shared[1].total);
@@ -899,6 +900,7 @@ mod tests {
         a.flush();
         b.flush();
         let shared = s.session().shared_accesses();
+        let shared: Vec<_> = shared.iter().collect();
         assert_eq!(shared.len(), 1);
         let e = &shared[0];
         assert_eq!(e.off, 64);

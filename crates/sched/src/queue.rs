@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use pmrace_runtime::session::SharedAccessEntry;
+use pmrace_runtime::session::SharedAccesses;
 use pmrace_runtime::Site;
 
 /// One queue entry: a shared PM address with its load and store
@@ -29,11 +29,18 @@ pub struct QueueEntry {
     pub priority: u32,
 }
 
+/// Emptied entries an [`AccessQueue`] keeps for reuse.
+const SPARE_ENTRIES: usize = 1024;
+
 /// Frequency-ordered queue of shared accesses with explored-set tracking.
 #[derive(Debug, Default)]
 pub struct AccessQueue {
     entries: HashMap<u64, QueueEntry>,
     explored: HashSet<u64>,
+    /// Entries emptied by [`AccessQueue::reset_explored`], reused by
+    /// [`AccessQueue::merge`] so rebuilding the queue for the next seed
+    /// allocates no site lists.
+    spare: Vec<QueueEntry>,
 }
 
 impl AccessQueue {
@@ -45,27 +52,32 @@ impl AccessQueue {
 
     /// Merge shared-access statistics from a finished campaign, adding new
     /// addresses and bumping priorities/instruction sets of known ones.
-    pub fn merge(&mut self, shared: &[SharedAccessEntry]) {
-        for e in shared {
-            let entry = self.entries.entry(e.off).or_insert_with(|| QueueEntry {
-                off: e.off,
-                load_sites: Vec::new(),
-                store_sites: Vec::new(),
-                cas_sites: Vec::new(),
-                priority: 0,
+    pub fn merge(&mut self, shared: &SharedAccesses) {
+        for e in shared.iter() {
+            let spare = &mut self.spare;
+            let entry = self.entries.entry(e.off).or_insert_with(|| {
+                let mut entry = spare.pop().unwrap_or_else(|| QueueEntry {
+                    off: 0,
+                    load_sites: Vec::new(),
+                    store_sites: Vec::new(),
+                    cas_sites: Vec::new(),
+                    priority: 0,
+                });
+                entry.off = e.off;
+                entry
             });
             entry.priority = entry.priority.saturating_add(e.total);
-            for &(s, _) in &e.load_sites {
+            for &(s, _) in e.load_sites {
                 if !entry.load_sites.contains(&s) {
                     entry.load_sites.push(s);
                 }
             }
-            for &(s, _) in &e.store_sites {
+            for &(s, _) in e.store_sites {
                 if !entry.store_sites.contains(&s) {
                     entry.store_sites.push(s);
                 }
             }
-            for &(s, _) in &e.cas_sites {
+            for &(s, _) in e.cas_sites {
                 if !entry.cas_sites.contains(&s) {
                     entry.cas_sites.push(s);
                 }
@@ -89,7 +101,16 @@ impl AccessQueue {
     /// reconstructs the priority queue at the seed tier).
     pub fn reset_explored(&mut self) {
         self.explored.clear();
-        self.entries.clear();
+        for (_, mut entry) in self.entries.drain() {
+            if self.spare.len() == SPARE_ENTRIES {
+                break;
+            }
+            entry.load_sites.clear();
+            entry.store_sites.clear();
+            entry.cas_sites.clear();
+            entry.priority = 0;
+            self.spare.push(entry);
+        }
     }
 
     /// Number of known shared addresses.
@@ -119,24 +140,27 @@ mod tests {
     use super::*;
     use pmrace_runtime::site;
 
-    fn shared(off: u64, load: Site, store: Site, total: u32) -> SharedAccessEntry {
-        SharedAccessEntry {
-            off,
-            load_sites: vec![(load, total / 2)],
-            store_sites: vec![(store, total / 2)],
-            cas_sites: Vec::new(),
-            total,
-            threads: 2,
+    fn shared(entries: &[(u64, Site, Site, u32)]) -> SharedAccesses {
+        let mut out = SharedAccesses::new();
+        for &(off, load, store, total) in entries {
+            out.push(
+                off,
+                &[(load, total / 2)],
+                &[(store, total - total / 2)],
+                &[],
+                2,
+            );
         }
+        out
     }
 
     #[test]
     fn pops_hottest_first_and_marks_explored() {
         let mut q = AccessQueue::new();
-        q.merge(&[
-            shared(64, site!("l1"), site!("s1"), 10),
-            shared(128, site!("l2"), site!("s2"), 50),
-        ]);
+        q.merge(&shared(&[
+            (64, site!("l1"), site!("s1"), 10),
+            (128, site!("l2"), site!("s2"), 50),
+        ]));
         assert_eq!(q.len(), 2);
         assert_eq!(q.unexplored(), 2);
         assert_eq!(q.pop_unexplored().unwrap().off, 128);
@@ -149,8 +173,8 @@ mod tests {
     fn merge_accumulates_priority_and_sites() {
         let mut q = AccessQueue::new();
         let (l1, l2, s1) = (site!("la"), site!("lb"), site!("sa"));
-        q.merge(&[shared(64, l1, s1, 10)]);
-        q.merge(&[shared(64, l2, s1, 5)]);
+        q.merge(&shared(&[(64, l1, s1, 10)]));
+        q.merge(&shared(&[(64, l2, s1, 5)]));
         let e = q.pop_unexplored().unwrap();
         assert_eq!(e.priority, 15);
         assert_eq!(e.load_sites.len(), 2);
@@ -160,7 +184,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut q = AccessQueue::new();
-        q.merge(&[shared(64, site!("lr"), site!("sr"), 1)]);
+        q.merge(&shared(&[(64, site!("lr"), site!("sr"), 1)]));
         let _ = q.pop_unexplored();
         q.reset_explored();
         assert!(q.is_empty());

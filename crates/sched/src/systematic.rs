@@ -106,6 +106,15 @@ impl InterleaveStrategy for SystematicStrategy {
         self.wait_turn(ctx);
     }
 
+    /// A token holder spinning on a volatile lock makes no PM progress,
+    /// and the lock's holder may be waiting for the token: neither would
+    /// move. Pass the token on, as a finished thread does.
+    fn on_spin(&self, tid: ThreadId) {
+        if tid.0 < self.num_threads && self.token.load(Ordering::Acquire) == tid.0 {
+            self.rotate_from(tid.0);
+        }
+    }
+
     fn thread_done(&self, tid: ThreadId) {
         if (tid.0 as usize) < self.num_threads as usize {
             self.done.lock()[tid.0 as usize] = true;
@@ -162,6 +171,32 @@ mod tests {
         let waited = waiter.join().unwrap();
         assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
         assert!(waited < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn a_spinning_holder_passes_the_token() {
+        // Thread 0 holds the token and spins (as `PmView::spin_yield`
+        // reports) on a flag that thread 1 sets only after its next PM
+        // access, which needs the token: without the hand-off on spin
+        // neither ever moves.
+        let s = Arc::new(SystematicStrategy::new(2, 1000, 0));
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let cancelled = || false;
+        s.before_load(&ctx(0, &cancelled));
+        let setter = {
+            let (s, flag) = (Arc::clone(&s), Arc::clone(&flag));
+            std::thread::spawn(move || {
+                let cancelled = || false;
+                s.before_store(&ctx(1, &cancelled));
+                flag.store(true, Ordering::Release);
+            })
+        };
+        while !flag.load(Ordering::Acquire) {
+            s.on_spin(ThreadId(0));
+            std::thread::yield_now();
+        }
+        setter.join().unwrap();
+        assert_eq!(s.token.load(Ordering::Acquire), 1, "the token moved to t1");
     }
 
     #[test]

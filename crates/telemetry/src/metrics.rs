@@ -43,6 +43,8 @@ metric_enum! {
     ExecCampaigns => "exec.campaigns",
     ExecHangs => "exec.hangs",
     ExecOpErrors => "exec.op_errors",
+    ExecSessionReuses => "exec.session_reuses",
+    ExecSessionFresh => "exec.session_fresh",
     SeedGenerated => "seed.generated",
     SeedEvolved => "seed.evolved",
     SeedPopulated => "seed.populated",

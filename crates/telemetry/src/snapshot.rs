@@ -42,8 +42,9 @@ use crate::trace::{self, Phase};
 /// counts); version 3 removed the validation hand-off metrics
 /// (`pipeline.deferred`, `pipeline.inline`, `pipeline.backpressure`,
 /// `pipeline.queue_ns`, `validate.queue_depth`); version 4 added the
-/// `sched.draft_wait_ns` histogram.
-pub const SCHEMA_VERSION: u64 = 4;
+/// `sched.draft_wait_ns` histogram; version 5 added the
+/// `exec.session_reuses` and `exec.session_fresh` counters.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// How many of the hottest sites a snapshot carries.
 pub const TOP_SITES: usize = 20;
@@ -321,7 +322,7 @@ fn check_uint_map(doc: &Value, field: &str, expected: &[&str]) -> Result<(), Str
     Ok(())
 }
 
-/// Validate a `telemetry.json` document against schema version 4: correct
+/// Validate a `telemetry.json` document against schema version 5: correct
 /// version, all required top-level fields, every cataloged counter / gauge
 /// / histogram / phase present with the right shape, and no un-cataloged
 /// names anywhere.

@@ -213,7 +213,7 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
     let campaigns = get_u64(&doc, "counters", "exec.campaigns");
     let _ = writeln!(
         out,
-        "  campaigns {campaigns} ({}/s)  hangs {}  op-errors {}",
+        "  campaigns {campaigns} ({}/s)  hangs {}  op-errors {}  sessions {} recycled, {} fresh",
         if wall_us > 0 {
             format!("{:.1}", campaigns as f64 / (wall_us as f64 / 1e6))
         } else {
@@ -221,6 +221,8 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
         },
         get_u64(&doc, "counters", "exec.hangs"),
         get_u64(&doc, "counters", "exec.op_errors"),
+        get_u64(&doc, "counters", "exec.session_reuses"),
+        get_u64(&doc, "counters", "exec.session_fresh"),
     );
     let planned = get_u64(&doc, "counters", "plan.planned");
     let fired = get_u64(&doc, "counters", "plan.alternations_fired");
