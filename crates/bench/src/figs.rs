@@ -3,7 +3,9 @@
 use std::time::{Duration, Instant};
 
 use pmrace_core::checkpoint::Checkpoint;
-use pmrace_core::{run_campaign, CampaignConfig, FuzzConfig, Fuzzer, OpMutator, StrategyKind};
+use pmrace_core::{
+    run_campaign, CampaignConfig, FuzzConfig, Fuzzer, OpMutator, PoolStart, StrategyKind,
+};
 
 use crate::render::{series, table};
 use crate::sweep::fuzz_target;
@@ -148,7 +150,8 @@ pub fn fig10(campaigns: usize, rng_seed: u64) -> String {
             let mut accesses = 0u64;
             for _ in 0..campaigns {
                 let seed = mutator.generate();
-                let res = run_campaign(&spec, &seed, &cfg, None, cp.as_ref()).expect("campaign");
+                let start = cp.as_ref().map_or(PoolStart::Format, PoolStart::Checkpoint);
+                let res = run_campaign(&spec, &seed, &cfg, None, start).expect("campaign");
                 accesses += res.pm_accesses;
             }
             let secs = start.elapsed().as_secs_f64();

@@ -458,7 +458,7 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::campaign::{run_campaign, CampaignConfig, PoolStart};
     use crate::seed::Seed;
     use pmrace_targets::{target_spec, Op};
 
@@ -468,7 +468,14 @@ mod tests {
         let mut ledger = Ledger::new(spec);
         let seed = Seed::from_flat(&[Op::Insert { key: 1, value: 1 }], 1);
         for i in 0..3 {
-            let res = run_campaign(&spec, &seed, &CampaignConfig::default(), None, None).unwrap();
+            let res = run_campaign(
+                &spec,
+                &seed,
+                &CampaignConfig::default(),
+                None,
+                PoolStart::Spare,
+            )
+            .unwrap();
             ledger.ingest(&res, Duration::from_millis(i * 10));
         }
         let s = ledger.stats();
@@ -495,7 +502,7 @@ mod tests {
             deadline: Duration::from_secs(5),
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         ledger.ingest(&res, Duration::from_secs(1));
         let s = ledger.stats();
         assert_eq!(s.annotations, 4);
@@ -524,7 +531,14 @@ mod tests {
             deadline: Duration::from_secs(5),
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &Seed::from_flat(&ops, 1), &cfg, None, None).unwrap();
+        let res = run_campaign(
+            &spec,
+            &Seed::from_flat(&ops, 1),
+            &cfg,
+            None,
+            PoolStart::Spare,
+        )
+        .unwrap();
         let first = ledger.ingest(&res, Duration::ZERO);
         assert!(!first.new_bugs.is_empty(), "resize workload finds bugs");
         assert!(!first.new_candidates.is_empty());
@@ -545,7 +559,14 @@ mod tests {
             deadline: Duration::from_secs(5),
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &Seed::from_flat(&ops, 1), &cfg, None, None).unwrap();
+        let res = run_campaign(
+            &spec,
+            &Seed::from_flat(&ops, 1),
+            &cfg,
+            None,
+            PoolStart::Spare,
+        )
+        .unwrap();
         ledger.ingest(&res, Duration::ZERO);
         for (w, r) in ledger.candidate_only_pairs() {
             assert!(

@@ -13,7 +13,9 @@
 //! retires its finished [`Session`] into a thread-local slot and the next
 //! campaign on that thread resets those tables in O(touched) instead of
 //! allocating new ones (`Session::retire`, `Session::recycle`). The pool is
-//! not part of it: it goes back to `Checkpoint::acquire` with the session.
+//! not part of it: it goes back to where [`PoolStart`] took it from
+//! (`Checkpoint::acquire`'s cache or the process's spare pool) with the
+//! session.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,7 +26,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use pmrace_api::TargetSpec;
-use pmrace_pmem::{Pool, ThreadId};
+use pmrace_pmem::{CrashImage, Pool, ThreadId};
 use pmrace_runtime::coverage::CoverageMap;
 use pmrace_runtime::report::Findings;
 use pmrace_runtime::session::SharedAccesses;
@@ -52,6 +54,23 @@ pub enum StrategyKind {
     Systematic,
 }
 
+/// How a campaign gets its pool.
+#[derive(Debug, Clone, Copy)]
+pub enum PoolStart<'a> {
+    /// Build and format a new pool, paying the target's pool
+    /// initialization cost (the Fig. 10 no-checkpoint baseline), then run
+    /// the target's `init`.
+    Format,
+    /// Take the process's spare pool reset to the formatted image
+    /// ([`CrashImage::formatted`]), then run the target's `init`: the state
+    /// `Format` builds, without the format cost. A new pool is built only
+    /// while the spare pool is in use (see `validate`'s module docs).
+    Spare,
+    /// Restore the checkpointed pool and reopen the target through its
+    /// recovery path (§5).
+    Checkpoint(&'a Checkpoint),
+}
+
 /// Per-campaign execution parameters.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
@@ -64,7 +83,8 @@ pub struct CampaignConfig {
     /// Crash-image budget per campaign.
     pub max_images: usize,
     /// Run under the eADR failure model (§6.6): persistent CPU caches.
-    /// Incompatible with checkpoints (a fresh pool is built instead).
+    /// Every eADR campaign formats a new eADR pool, whatever its
+    /// [`PoolStart`]: checkpoints and the spare pool are ADR pools.
     pub eadr: bool,
     /// Extra whitelist rules (site-label substrings) on top of the default
     /// PMDK/checksum rules — the §4.4 knob for application-specific
@@ -179,11 +199,8 @@ thread_local! {
     static RETIRED: RefCell<Option<SessionTables>> = const { RefCell::new(None) };
 }
 
-/// Execute one campaign of `seed` against a fresh instance of `spec`.
-///
-/// When `checkpoint` is given, the pool starts from the checkpointed image
-/// and the target is reopened through its recovery path (cheap reset);
-/// otherwise the pool is created and the target initialized from scratch.
+/// Execute one campaign of `seed` against a fresh instance of `spec`,
+/// starting on the pool `pool_start` names.
 ///
 /// # Errors
 ///
@@ -195,21 +212,10 @@ pub fn run_campaign(
     seed: &Seed,
     cfg: &CampaignConfig,
     strategy: Option<Arc<dyn InterleaveStrategy>>,
-    checkpoint: Option<&Checkpoint>,
+    pool_start: PoolStart<'_>,
 ) -> Result<CampaignResult, RtError> {
     let start = Instant::now();
-    let pool = match checkpoint {
-        // `acquire` recycles the pool the previous campaign retired
-        // (in-place reset instead of a pool-sized allocation).
-        Some(cp) if !cfg.eadr => cp.acquire(),
-        _ => {
-            let mut opts = (spec.pool)();
-            if cfg.eadr {
-                opts = opts.eadr();
-            }
-            Arc::new(Pool::new(opts))
-        }
-    };
+    let (pool, recover) = start_pool(spec, cfg, pool_start);
     let mut session_cfg = SessionConfig {
         deadline: cfg.deadline,
         capture_crash_images: cfg.capture_images,
@@ -229,11 +235,10 @@ pub fn run_campaign(
             Session::new(pool, session_cfg)
         }
     };
-    // Pool acquisition (checkpoint restore) is traced separately inside
-    // `Checkpoint::acquire`; the execution span covers target
-    // init/recovery plus the driver threads.
+    // The pool start is traced by `start_pool`; the execution span covers
+    // target init/recovery plus the driver threads.
     let _span = telemetry::span(telemetry::Phase::Execution);
-    let target = if checkpoint.is_some() && !cfg.eadr {
+    let target = if recover {
         (spec.recover)(&session)?
     } else {
         (spec.init)(&session)?
@@ -360,6 +365,41 @@ pub fn run_campaign(
     })
 }
 
+/// The campaign's pool, under the `pool_start` span, and whether the
+/// target reopens it through its recovery path (a restored checkpoint)
+/// rather than `init`.
+fn start_pool(spec: &TargetSpec, cfg: &CampaignConfig, start: PoolStart<'_>) -> (Arc<Pool>, bool) {
+    let _span = telemetry::span(telemetry::Phase::PoolStart);
+    let mut opts = (spec.pool)();
+    match start {
+        // `acquire` recycles the pool the previous campaign retired
+        // (in-place reset instead of a pool-sized allocation).
+        PoolStart::Checkpoint(cp) if !cfg.eadr => return (cp.acquire(), true),
+        PoolStart::Spare if !cfg.eadr => {
+            if let Some((pool, reused)) =
+                crate::validate::spare_pool(&CrashImage::formatted(opts.size))
+            {
+                telemetry::add(
+                    if reused {
+                        telemetry::Counter::ExecSpareResets
+                    } else {
+                        telemetry::Counter::ExecSpareFresh
+                    },
+                    1,
+                );
+                return (pool, false);
+            }
+            // An empty pool has no spare: format it.
+        }
+        _ => {}
+    }
+    if cfg.eadr {
+        opts = opts.eadr();
+    }
+    telemetry::add(telemetry::Counter::ExecPoolFormats, 1);
+    (Arc::new(Pool::new(opts)), false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,7 +423,7 @@ mod tests {
             &insert_seed(2),
             &CampaignConfig::default(),
             None,
-            None,
+            PoolStart::Spare,
         )
         .unwrap();
         assert_eq!(ARMED.load(Ordering::Relaxed), 1);
@@ -397,7 +437,7 @@ mod tests {
             &insert_seed(4),
             &CampaignConfig::default(),
             None,
-            None,
+            PoolStart::Spare,
         )
         .unwrap();
         assert!(res.coverage.branches() > 0);
@@ -424,7 +464,14 @@ mod tests {
             })
             .collect();
         let seed = Seed::from_flat(&ops, 4);
-        let res = run_campaign(&spec, &seed, &CampaignConfig::default(), None, None).unwrap();
+        let res = run_campaign(
+            &spec,
+            &seed,
+            &CampaignConfig::default(),
+            None,
+            PoolStart::Spare,
+        )
+        .unwrap();
         assert!(
             !res.shared.is_empty(),
             "4 threads on 4 hot keys must share PM addresses"
@@ -447,7 +494,7 @@ mod tests {
             deadline: Duration::from_millis(150),
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         assert!(res.findings.hang, "leaked lock must surface as a hang");
         assert!(res.op_errors >= 1);
     }
@@ -467,7 +514,7 @@ mod tests {
             extra_whitelist: vec!["clht_gc.c:190".to_owned()],
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         let gc_records: Vec<_> = res
             .findings
             .inconsistencies
@@ -493,7 +540,7 @@ mod tests {
             deadline: Duration::from_secs(5),
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         assert!(
             res.findings.candidates.is_empty(),
             "eADR caches are persistent; reading non-persisted data is impossible: {:?}",
@@ -517,9 +564,22 @@ mod tests {
         let spec = target_spec("CCEH").unwrap();
         let cp = Checkpoint::create(&spec).unwrap();
         let seed = insert_seed(2);
-        let fresh = run_campaign(&spec, &seed, &CampaignConfig::default(), None, None).unwrap();
-        let restored =
-            run_campaign(&spec, &seed, &CampaignConfig::default(), None, Some(&cp)).unwrap();
+        let fresh = run_campaign(
+            &spec,
+            &seed,
+            &CampaignConfig::default(),
+            None,
+            PoolStart::Format,
+        )
+        .unwrap();
+        let restored = run_campaign(
+            &spec,
+            &seed,
+            &CampaignConfig::default(),
+            None,
+            PoolStart::Checkpoint(&cp),
+        )
+        .unwrap();
         assert_eq!(fresh.op_errors, 0);
         assert_eq!(restored.op_errors, 0);
         assert!(restored.coverage.branches() > 0);
@@ -540,7 +600,7 @@ mod tests {
                 &insert_seed(4),
                 &CampaignConfig::default(),
                 None,
-                Some(&cp),
+                PoolStart::Checkpoint(&cp),
             )
             .unwrap();
             let pool = cp.acquire();
@@ -580,7 +640,7 @@ mod tests {
                 &insert_seed(2),
                 &CampaignConfig::default(),
                 Some(dyn_strategy),
-                None,
+                PoolStart::Spare,
             )
         }));
         assert!(outcome.is_err(), "the driver's panic reaches the caller");

@@ -27,7 +27,7 @@ use pmrace_sched::{
 };
 use pmrace_telemetry as telemetry;
 
-use crate::campaign::{run_campaign, CampaignConfig, CampaignResult, StrategyKind};
+use crate::campaign::{run_campaign, CampaignConfig, CampaignResult, PoolStart, StrategyKind};
 use crate::checkpoint::Checkpoint;
 use crate::fleet::SharedCorpus;
 use crate::mutator::OpMutator;
@@ -531,19 +531,15 @@ impl Explorer {
 
         // The very first campaign runs without the checkpoint so the
         // target's *construction* path executes under the checkers once
-        // (clevel's Fig. 7 inconsistencies live there).
-        let checkpoint = if self.campaigns == 0 {
-            None
-        } else {
-            self.checkpoint.as_ref()
+        // (clevel's Fig. 7 inconsistencies live there). With checkpoints
+        // on, it starts on the formatted spare pool; without them every
+        // campaign formats its own (the Fig. 10 baseline).
+        let start = match &self.checkpoint {
+            Some(_) if self.campaigns == 0 => PoolStart::Spare,
+            Some(cp) => PoolStart::Checkpoint(cp),
+            None => PoolStart::Format,
         };
-        let result = run_campaign(
-            &self.spec,
-            &self.seed,
-            &self.cfg.campaign,
-            strategy,
-            checkpoint,
-        )?;
+        let result = run_campaign(&self.spec, &self.seed, &self.cfg.campaign, strategy, start)?;
         self.campaigns += 1;
         self.queue.merge(&result.shared);
         if telemetry::enabled() {

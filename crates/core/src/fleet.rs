@@ -127,7 +127,7 @@ pub(crate) fn note_steal() {
 mod tests {
     use super::*;
     use crate::bugs::Ledger;
-    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::campaign::{run_campaign, CampaignConfig, PoolStart};
     use crate::mutator::OpMutator;
     use pmrace_targets::{target_spec, Op};
     use std::sync::atomic::AtomicUsize;
@@ -201,7 +201,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let seed = Seed::from_flat(&ops, 1);
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
 
         let mut plain = Ledger::new(spec);
         plain.ingest(&res, Duration::ZERO);
@@ -233,7 +233,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let seed = Seed::from_flat(&[Op::Insert { key: 1, value: 1 }], 1);
-        let mut res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let mut res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         res.findings.hang = true;
         let shared = Mutex::new(Ledger::new(spec));
         for i in 0..3u64 {
@@ -265,7 +265,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let seed = Seed::from_flat(&ops, 1);
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         let shared = Mutex::new(Ledger::new(spec));
         let minted = AtomicUsize::new(0);
         std::thread::scope(|scope| {

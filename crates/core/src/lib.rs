@@ -46,7 +46,7 @@ pub mod textgen;
 pub mod validate;
 
 pub use bugs::{BugKind, DetectionStats, IngestDelta, Ledger, UniqueBug};
-pub use campaign::{run_campaign, CampaignConfig, CampaignResult, StrategyKind};
+pub use campaign::{run_campaign, CampaignConfig, CampaignResult, PoolStart, StrategyKind};
 pub use fleet::SharedCorpus;
 pub use fuzzer::{FuzzConfig, FuzzReport, Fuzzer, RecordSink};
 pub use mutator::OpMutator;

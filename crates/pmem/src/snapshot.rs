@@ -105,6 +105,21 @@ impl CrashImage {
         }
     }
 
+    /// The image of a newly formatted pool of `size` bytes: all zero, on
+    /// the process-wide all-zero base every [`Pool::new`](crate::Pool::new)
+    /// sits on, with no overlay. Resetting a pool to it with
+    /// [`Pool::restore_crash_image`](crate::Pool::restore_crash_image)
+    /// leaves the state `Pool::new` builds, without paying the pool's
+    /// initialization cost again.
+    #[must_use]
+    pub fn formatted(size: usize) -> Self {
+        CrashImage {
+            base: BaseImage::zeroed(size),
+            overlay: Vec::new(),
+            dense: OnceLock::new(),
+        }
+    }
+
     /// Build a copy-on-write image: `base` patched by `overlay`, which must
     /// be sorted by (granule-aligned) offset with unique offsets.
     pub(crate) fn from_overlay(base: Arc<BaseImage>, overlay: Vec<(u64, [u8; GRANULE])>) -> Self {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pmrace_pmem::{PersistState, PmAllocator, Pool, PoolOpts, SiteTag, ThreadId};
+use pmrace_pmem::{CrashImage, PersistState, PmAllocator, Pool, PoolOpts, SiteTag, ThreadId};
 use proptest::prelude::*;
 
 const POOL: usize = 1 << 16;
@@ -36,6 +36,88 @@ fn tid(t: u8) -> ThreadId {
     }
 }
 
+/// Run `op` on `pool`; returns the stored `(offset, value)` for stores.
+fn apply(pool: &Pool, op: &Op) -> Option<(u64, u64)> {
+    match *op {
+        Op::Store { off, val, tid: t } => {
+            pool.store_u64(off, val, tid(t), SiteTag(1)).unwrap();
+            Some((off, val))
+        }
+        Op::Nt { off, val, tid: t } => {
+            pool.ntstore_u64(off, val, tid(t), SiteTag(1)).unwrap();
+            Some((off, val))
+        }
+        Op::Clwb { off, tid: t } => {
+            pool.clwb(off, 8, tid(t)).unwrap();
+            None
+        }
+        Op::Sfence { tid: t } => {
+            pool.sfence(tid(t)).unwrap();
+            None
+        }
+    }
+}
+
+/// One step of a pool's life before it goes back to the formatted image:
+/// a PM instruction, or a reset that moves the pool onto another base.
+#[derive(Debug, Clone)]
+enum Life {
+    Pm(Op),
+    /// Capture a crash image for the later resets.
+    Capture,
+    /// Reset to the latest capture (same base: the delta path).
+    Restore,
+    /// Reset to a dense copy of the latest capture (a base of its own).
+    RestoreDense,
+    /// Restore a snapshot of the pool (it then sits on the snapshot's base
+    /// in the non-clean state).
+    Snapshot,
+}
+
+fn life_strategy() -> impl Strategy<Value = Life> {
+    prop_oneof![
+        op_strategy().prop_map(Life::Pm),
+        op_strategy().prop_map(Life::Pm),
+        op_strategy().prop_map(Life::Pm),
+        (0u8..4).prop_map(|k| match k {
+            0 => Life::Capture,
+            1 => Life::Restore,
+            2 => Life::RestoreDense,
+            _ => Life::Snapshot,
+        }),
+    ]
+}
+
+/// Everything observable about a pool: per granule its load value,
+/// `LoadInfo` and metadata, then its crash image (bytes and cache key),
+/// snapshot, store counter and unpersisted count.
+fn assert_observably_equal(pool: &Pool, reference: &Pool) -> Result<(), TestCaseError> {
+    for off in (0..POOL as u64).step_by(8) {
+        prop_assert_eq!(
+            pool.load_u64(off).unwrap(),
+            reference.load_u64(off).unwrap()
+        );
+        prop_assert_eq!(pool.meta_at(off), reference.meta_at(off));
+    }
+    let (img, want) = (
+        pool.crash_image().unwrap(),
+        reference.crash_image().unwrap(),
+    );
+    prop_assert_eq!(img.bytes(), want.bytes());
+    prop_assert_eq!(img.cache_key(), want.cache_key());
+    let (snap, want) = (pool.snapshot(), reference.snapshot());
+    prop_assert_eq!(snap.volatile(), want.volatile());
+    prop_assert_eq!(snap.persistent(), want.persistent());
+    prop_assert_eq!(snap.meta(), want.meta());
+    prop_assert_eq!(snap.seq(), want.seq());
+    prop_assert_eq!(pool.store_seq(), reference.store_seq());
+    prop_assert_eq!(
+        pool.unpersisted_granules(),
+        reference.unpersisted_granules()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -46,17 +128,8 @@ proptest! {
         let pool = Pool::new(PoolOpts::with_size(POOL));
         let mut model = std::collections::HashMap::<u64, u64>::new();
         for op in &ops {
-            match *op {
-                Op::Store { off, val, tid: t } => {
-                    pool.store_u64(off, val, tid(t), SiteTag(1)).unwrap();
-                    model.insert(off, val);
-                }
-                Op::Nt { off, val, tid: t } => {
-                    pool.ntstore_u64(off, val, tid(t), SiteTag(1)).unwrap();
-                    model.insert(off, val);
-                }
-                Op::Clwb { off, tid: t } => pool.clwb(off, 8, tid(t)).unwrap(),
-                Op::Sfence { tid: t } => pool.sfence(tid(t)).unwrap(),
+            if let Some((off, val)) = apply(&pool, op) {
+                model.insert(off, val);
             }
         }
         for (&off, &val) in &model {
@@ -74,17 +147,8 @@ proptest! {
         // All values ever stored per word (including initial zero).
         let mut history = std::collections::HashMap::<u64, Vec<u64>>::new();
         for op in &ops {
-            match *op {
-                Op::Store { off, val, tid: t } => {
-                    pool.store_u64(off, val, tid(t), SiteTag(1)).unwrap();
-                    history.entry(off).or_default().push(val);
-                }
-                Op::Nt { off, val, tid: t } => {
-                    pool.ntstore_u64(off, val, tid(t), SiteTag(1)).unwrap();
-                    history.entry(off).or_default().push(val);
-                }
-                Op::Clwb { off, tid: t } => pool.clwb(off, 8, tid(t)).unwrap(),
-                Op::Sfence { tid: t } => pool.sfence(tid(t)).unwrap(),
+            if let Some((off, val)) = apply(&pool, op) {
+                history.entry(off).or_default().push(val);
             }
         }
         let img = pool.crash_image().unwrap();
@@ -104,17 +168,8 @@ proptest! {
         let pool = Pool::new(PoolOpts::with_size(POOL));
         let mut touched = std::collections::HashSet::new();
         for op in &ops {
-            match *op {
-                Op::Store { off, val, tid: t } => {
-                    pool.store_u64(off, val, tid(t), SiteTag(1)).unwrap();
-                    touched.insert(off);
-                }
-                Op::Nt { off, val, tid: t } => {
-                    pool.ntstore_u64(off, val, tid(t), SiteTag(1)).unwrap();
-                    touched.insert(off);
-                }
-                Op::Clwb { off, tid: t } => pool.clwb(off, 8, tid(t)).unwrap(),
-                Op::Sfence { tid: t } => pool.sfence(tid(t)).unwrap(),
+            if let Some((off, _val)) = apply(&pool, op) {
+                touched.insert(off);
             }
         }
         let img = pool.crash_image().unwrap();
@@ -128,6 +183,44 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Resetting a used pool to `CrashImage::formatted` leaves it
+    /// observably equal to `Pool::new` (the reference), both right after
+    /// the reset and after the same further instructions on each. The
+    /// life before the reset mixes PM instructions with crash-image and
+    /// snapshot resets, so the formatted reset runs from the all-zero base
+    /// (delta path), from a dense image's base and from a snapshot's base
+    /// (full path).
+    #[test]
+    fn formatted_reset_equals_a_new_pool(life in prop::collection::vec(life_strategy(), 1..80),
+                                         tail in prop::collection::vec(op_strategy(), 0..20)) {
+        let pool = Pool::new(PoolOpts::with_size(POOL));
+        let mut latest = pool.crash_image().unwrap();
+        for step in &life {
+            match step {
+                Life::Pm(op) => {
+                    apply(&pool, op);
+                }
+                Life::Capture => latest = pool.crash_image().unwrap(),
+                Life::Restore => {
+                    pool.restore_crash_image(&latest).unwrap();
+                }
+                Life::RestoreDense => {
+                    let dense = CrashImage::from_bytes(latest.bytes().to_vec());
+                    pool.restore_crash_image(&dense).unwrap();
+                }
+                Life::Snapshot => pool.restore(&pool.snapshot()).unwrap(),
+            }
+        }
+        pool.restore_crash_image(&CrashImage::formatted(POOL)).unwrap();
+        let reference = Pool::new(PoolOpts::with_size(POOL));
+        assert_observably_equal(&pool, &reference)?;
+        for op in &tail {
+            apply(&pool, op);
+            apply(&reference, op);
+        }
+        assert_observably_equal(&pool, &reference)?;
     }
 
     /// Allocations never overlap, regardless of the alloc/free sequence.

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use pmrace_api::Op;
 use pmrace_core::schedule::{EventCapture, PlanCapture, ScheduleCapture, StrategyCapture};
-use pmrace_core::{run_campaign, BugKind, CampaignConfig, CampaignResult, Ledger, Seed};
+use pmrace_core::{run_campaign, BugKind, CampaignConfig, CampaignResult, Ledger, PoolStart, Seed};
 use pmrace_runtime::{site_label, RtError, Site};
 use pmrace_sched::{
     PmraceStrategy, RecordingStrategy, ScheduleLog, SkipStore, SyncPlan, SyncTuning,
@@ -660,7 +660,7 @@ pub fn build_recipe(recipe: &Recipe, store: &ReproStore) -> Result<BuiltRepro, R
 
     // Round 0: free scheduling. Doubles as the recon run that registers
     // sites and surfaces the shared-access table for plan resolution.
-    let recon = run_campaign(&spec, &seed, &cfg, None, None)?;
+    let recon = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare)?;
     let mut ledger = Ledger::new(spec);
     let _ = ledger.ingest_with_seed(&recon, start.elapsed(), Some(&seed));
     if let Some(found) = try_finish(recipe, &ledger, &seed, &free_capture, store, 0)? {
@@ -683,7 +683,7 @@ pub fn build_recipe(recipe: &Recipe, store: &ReproStore) -> Result<BuiltRepro, R
         let mut ledger = Ledger::new(spec);
         let capture = match &plan {
             None => {
-                let res = run_campaign(&spec, &seed, &cfg, None, None)?;
+                let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare)?;
                 let _ = ledger.ingest_with_seed(&res, start.elapsed(), Some(&seed));
                 free_capture.clone()
             }
@@ -703,7 +703,7 @@ pub fn build_recipe(recipe: &Recipe, store: &ReproStore) -> Result<BuiltRepro, R
                 let log = Arc::new(ScheduleLog::new(plan.off));
                 let recording =
                     Arc::new(RecordingStrategy::new(Arc::new(strategy), Arc::clone(&log)));
-                let res = run_campaign(&spec, &seed, &cfg, Some(recording), None)?;
+                let res = run_campaign(&spec, &seed, &cfg, Some(recording), PoolStart::Spare)?;
                 let _ = ledger.ingest_with_seed(&res, start.elapsed(), Some(&seed));
                 let (events, truncated) = log.snapshot();
                 ScheduleCapture {

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pmrace_core::campaign::CampaignResult;
-use pmrace_core::{run_campaign, CampaignConfig, Ledger, Seed, UniqueBug};
+use pmrace_core::{run_campaign, CampaignConfig, Ledger, PoolStart, Seed, UniqueBug};
 use pmrace_pmem::ThreadId;
 use pmrace_runtime::strategy::InterleaveStrategy;
 use pmrace_runtime::{site_by_label, site_label, RtError};
@@ -139,7 +139,7 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
         matches!(repro.schedule, ScheduleSpec::Pmrace { .. }) && opts.mode != ReplayMode::Free;
     let mut recon = if needs_recon {
         let _span = telemetry::span(telemetry::Phase::ReplayRecon);
-        Some(run_campaign(&spec, &seed, &cfg, None, None)?)
+        Some(run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare)?)
     } else {
         None
     };
@@ -177,7 +177,7 @@ pub fn replay(repro: &Repro, opts: &ReplayOptions) -> Result<ReplayOutcome, RtEr
         let result = {
             let _span = telemetry::span(telemetry::Phase::ReplayAttempt);
             telemetry::add(telemetry::Counter::ReplayAttempts, 1);
-            run_campaign(&spec, &seed, &cfg, strategy, None)?
+            run_campaign(&spec, &seed, &cfg, strategy, PoolStart::Spare)?
         };
         attempts += 1;
         let _ = ledger.ingest_with_seed(&result, start.elapsed(), Some(&seed));
@@ -550,7 +550,7 @@ mod tests {
             deadline: repro.deadline(),
             ..CampaignConfig::default()
         };
-        let missed = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let missed = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         let plan = signature_plan(&repro, &missed).expect("the pair shares a granule");
         assert_eq!(plan.load_sites.len(), 1);
         assert_eq!(plan.store_sites.len(), 1);
@@ -603,7 +603,7 @@ mod tests {
             deadline: repro.deadline(),
             ..CampaignConfig::default()
         };
-        let result = run_campaign(&spec, &seed, &cfg, strategy, None).unwrap();
+        let result = run_campaign(&spec, &seed, &cfg, strategy, PoolStart::Spare).unwrap();
         let mut ledger = Ledger::new(spec);
         let _ = ledger.ingest_with_seed(&result, Duration::ZERO, Some(&seed));
         let bugs: Vec<UniqueBug> = ledger.bugs().into_iter().cloned().collect();

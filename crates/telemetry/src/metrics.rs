@@ -45,6 +45,9 @@ metric_enum! {
     ExecOpErrors => "exec.op_errors",
     ExecSessionReuses => "exec.session_reuses",
     ExecSessionFresh => "exec.session_fresh",
+    ExecSpareResets => "exec.spare_resets",
+    ExecSpareFresh => "exec.spare_fresh",
+    ExecPoolFormats => "exec.pool_formats",
     SeedGenerated => "seed.generated",
     SeedEvolved => "seed.evolved",
     SeedPopulated => "seed.populated",

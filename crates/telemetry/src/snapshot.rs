@@ -2,12 +2,12 @@
 //! validator the CI job runs against it.
 //!
 //! A [`Snapshot`] is a point-in-time read of the whole registry. Its JSON
-//! form is **schema version 4**, documented field by field in
+//! form is **schema version 6**, documented field by field in
 //! `docs/OBSERVABILITY.md`:
 //!
 //! ```json
 //! {
-//!   "version": 4,
+//!   "version": 6,
 //!   "enabled": true,
 //!   "elapsed_us": 12345678,
 //!   "counters":   { "exec.campaigns": 480, ... every catalog counter ... },
@@ -43,8 +43,10 @@ use crate::trace::{self, Phase};
 /// (`pipeline.deferred`, `pipeline.inline`, `pipeline.backpressure`,
 /// `pipeline.queue_ns`, `validate.queue_depth`); version 4 added the
 /// `sched.draft_wait_ns` histogram; version 5 added the
-/// `exec.session_reuses` and `exec.session_fresh` counters.
-pub const SCHEMA_VERSION: u64 = 5;
+/// `exec.session_reuses` and `exec.session_fresh` counters; version 6
+/// added the `exec.spare_resets`, `exec.spare_fresh` and
+/// `exec.pool_formats` counters and the `pool_start` phase.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// How many of the hottest sites a snapshot carries.
 pub const TOP_SITES: usize = 20;
@@ -170,7 +172,7 @@ impl Snapshot {
         self.phases.iter().find(|p| p.name == name)
     }
 
-    /// Serialize to schema-version-3 JSON (pretty-printed, one leaf per
+    /// Serialize to [`SCHEMA_VERSION`] JSON (pretty-printed, one leaf per
     /// line — the exact format [`validate_snapshot_text`] checks).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -322,7 +324,7 @@ fn check_uint_map(doc: &Value, field: &str, expected: &[&str]) -> Result<(), Str
     Ok(())
 }
 
-/// Validate a `telemetry.json` document against schema version 5: correct
+/// Validate a `telemetry.json` document against schema version 6: correct
 /// version, all required top-level fields, every cataloged counter / gauge
 /// / histogram / phase present with the right shape, and no un-cataloged
 /// names anywhere.

@@ -224,6 +224,13 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
         get_u64(&doc, "counters", "exec.session_reuses"),
         get_u64(&doc, "counters", "exec.session_fresh"),
     );
+    let _ = writeln!(
+        out,
+        "  pool starts: {} spare pool reset in place, {} spare pool built, {} new pools formatted",
+        get_u64(&doc, "counters", "exec.spare_resets"),
+        get_u64(&doc, "counters", "exec.spare_fresh"),
+        get_u64(&doc, "counters", "exec.pool_formats"),
+    );
     let planned = get_u64(&doc, "counters", "plan.planned");
     let fired = get_u64(&doc, "counters", "plan.alternations_fired");
     let _ = writeln!(
@@ -416,6 +423,8 @@ mod tests {
         crate::set_enabled(true);
         crate::reset();
         add(Counter::ExecCampaigns, 4);
+        add(Counter::ExecSpareResets, 3);
+        add(Counter::ExecPoolFormats, 1);
         add(Counter::PlanPlanned, 10);
         add(Counter::PlanAlternationsFired, 7);
         record(Histogram::PmFlushNs, 900);
@@ -433,6 +442,9 @@ mod tests {
         assert!(report.contains("phase breakdown"));
         assert!(report.contains("execution"));
         assert!(report.contains("0.70x per plan"));
+        assert!(report.contains(
+            "pool starts: 3 spare pool reset in place, 0 spare pool built, 1 new pools formatted"
+        ));
         assert!(report.contains("hottest sites"));
         assert!(report.contains("trace:"));
         let _ = fs::remove_dir_all(&dir);

@@ -48,6 +48,7 @@ macro_rules! phases {
 
 phases! {
     SeedGen => "seed_gen",
+    PoolStart => "pool_start",
     Execution => "execution",
     Validation => "validation",
     CheckpointCreate => "checkpoint_create",

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pmrace::core::{run_campaign, CampaignConfig, Seed};
+use pmrace::core::{run_campaign, CampaignConfig, PoolStart, Seed};
 use pmrace::sched::{PmraceStrategy, SkipStore, SyncPlan, SyncTuning};
 use pmrace::{target_spec, Op, Pool, Session, SessionConfig};
 use pmrace_runtime::report::CandidateKind;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Recon campaign: find the shared table-pointer address the scheduler
     // should target (this is what the priority queue does automatically).
     println!("recon campaign to locate the shared table pointer...");
-    let recon = run_campaign(&spec, &seed, &cfg, None, None)?;
+    let recon = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare)?;
     let entry = recon
         .shared
         .iter()
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SyncTuning::default(),
             round,
         ));
-        let res = run_campaign(&spec, &seed, &cfg, Some(strategy), None)?;
+        let res = run_campaign(&spec, &seed, &cfg, Some(strategy), PoolStart::Spare)?;
         let hit = res.findings.inconsistencies.iter().find(|i| {
             i.candidate.kind == CandidateKind::Inter
                 && pmrace_runtime::site_label(i.candidate.write_site).contains("785")

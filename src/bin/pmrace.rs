@@ -45,7 +45,7 @@
 use std::time::Duration;
 
 use pmrace::core::report_io;
-use pmrace::core::{run_campaign, CampaignConfig};
+use pmrace::core::{run_campaign, CampaignConfig, PoolStart};
 use pmrace::{all_targets, target_spec, FuzzConfig, Fuzzer, Seed, StrategyKind};
 
 fn usage() -> ! {
@@ -270,7 +270,7 @@ fn main() {
                 deadline: Duration::from_secs(3),
                 ..CampaignConfig::default()
             };
-            match run_campaign(&spec, &seed, &cfg, None, None) {
+            match run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare) {
                 Ok(res) => {
                     println!(
                         "hang={} | candidates {} | inconsistencies {} | sync updates {}",

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pmrace::core::{run_campaign, CampaignConfig, Seed};
+use pmrace::core::{run_campaign, CampaignConfig, PoolStart, Seed};
 use pmrace::runtime::report::CandidateKind;
 use pmrace::sched::{PmraceStrategy, SkipStore, SyncPlan, SyncTuning};
 use pmrace::{target_spec, Op};
@@ -50,7 +50,7 @@ fn hunt(target: &str, seed: &Seed, read_marker: &str, write_marker: &str, rounds
         deadline: Duration::from_secs(3),
         ..CampaignConfig::default()
     };
-    let recon = run_campaign(&spec, seed, &cfg, None, None).unwrap();
+    let recon = run_campaign(&spec, seed, &cfg, None, PoolStart::Spare).unwrap();
     let Some(plan) = forced_plan(&recon, read_marker, write_marker) else {
         panic!("recon did not surface the {write_marker} -> {read_marker} address");
     };
@@ -62,7 +62,7 @@ fn hunt(target: &str, seed: &Seed, read_marker: &str, write_marker: &str, rounds
             SyncTuning::default(),
             round,
         ));
-        let res = run_campaign(&spec, seed, &cfg, Some(strategy), None).unwrap();
+        let res = run_campaign(&spec, seed, &cfg, Some(strategy), PoolStart::Spare).unwrap();
         let hit = res.findings.inconsistencies.iter().any(|i| {
             i.candidate.kind == CandidateKind::Inter
                 && site_label(i.candidate.write_site).contains(write_marker)
@@ -131,7 +131,7 @@ fn memcached_value_race_bugs_9_10_detected() {
     };
     let mut found = false;
     for _round in 0..10 {
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         found = res.findings.inconsistencies.iter().any(|i| {
             site_label(i.candidate.read_site).contains("2805")
                 && (site_label(i.effect_site).contains("4292")

@@ -15,7 +15,7 @@ use std::time::Duration;
 use pmrace::sched::DelayStrategy;
 
 use pmrace::core::validate::validate_inconsistency;
-use pmrace::core::{run_campaign, BugKind, CampaignConfig, Verdict};
+use pmrace::core::{run_campaign, BugKind, CampaignConfig, PoolStart, Verdict};
 use pmrace::replay::{replay, Recorder, ReplayOptions, ReproStore};
 use pmrace::{FuzzConfig, Fuzzer, Op, Seed};
 
@@ -83,7 +83,7 @@ fn both_planted_bugs_validate_as_bugs() {
     for round in 0..20u64 {
         let strategy: Arc<dyn pmrace::runtime::strategy::InterleaveStrategy> =
             Arc::new(DelayStrategy::new(Duration::from_micros(200), round));
-        let res = run_campaign(&spec, &seed, &cfg, Some(strategy), None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, Some(strategy), PoolStart::Spare).unwrap();
         for rec in &res.findings.inconsistencies {
             let write = pmrace::runtime::site_label(rec.candidate.write_site);
             let is_tail = write.contains("mpsc_queue.c:88");

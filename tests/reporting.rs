@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use pmrace::core::report_io;
-use pmrace::core::{run_campaign, CampaignConfig};
+use pmrace::core::{run_campaign, CampaignConfig, PoolStart};
 use pmrace::{target_spec, FuzzConfig, Fuzzer, Seed};
 
 #[test]
@@ -38,7 +38,7 @@ fn reports_round_trip_through_replay() {
             deadline: Duration::from_secs(2),
             ..CampaignConfig::default()
         };
-        let res = run_campaign(&spec, &seed, &cfg, None, None).unwrap();
+        let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         // Replays are not deterministic interleaving-wise, but the seed
         // must at least execute and exercise the checkers.
         assert!(res.duration > Duration::ZERO);

@@ -4,7 +4,8 @@
 //! `run_campaign` keeps each exec thread's last finished session and resets
 //! its tables in O(touched) for the next campaign. For every Table 1 target
 //! and treiber-stack, deterministic single-driver seeds run twice, every
-//! other one with a checker armed:
+//! other one with the redundant- and missing-flush checkers armed (the
+//! latter reports every granule the pool holds unpersisted at the end):
 //!
 //! - on a thread whose previous campaign was an unrelated, deliberately
 //!   messy one (a two-thread P-CLHT resize with an extra whitelist rule
@@ -16,7 +17,22 @@
 //! Both must report the same findings (candidates, inconsistencies with
 //! their traces and crash images, sync updates, perf issues, hang), the
 //! same shared accesses, coverage counts, PM event count and annotation
-//! count. The telemetry counters confirm which path each campaign took, so
+//! count.
+//!
+//! The pool start is one more input: the same seeds also run through the
+//! target's `init` on the process's formatted spare pool (`PoolStart::Spare`)
+//! and on a newly formatted pool (`PoolStart::Format`), and must report the
+//! same. Before each spare run, another target's campaign and the
+//! validation of its records dirty the spare pool. Before the plain seeds
+//! that campaign starts from its checkpoint, so the spare pool is left on
+//! the checkpoint's base and its reset to the formatted image is a full
+//! copy. Before the armed seeds it starts on the spare pool and one more
+//! campaign there ends the dirtying, so the reset is an O(dirty) delta over
+//! granules left unpersisted, which the missing-flush checker would report
+//! if their metadata survived the reset.
+//!
+//! The telemetry counters confirm which path each campaign took, and the
+//! validation cache is switched off while the spare pool is dirtied, so
 //! this binary holds exactly one test.
 
 use std::fmt::Write as _;
@@ -24,8 +40,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pmrace::core::checkpoint::Checkpoint;
-use pmrace::core::{run_campaign, CampaignConfig, CampaignResult, OpMutator, Seed};
-use pmrace::runtime::checker::RedundantFlushChecker;
+use pmrace::core::validate::{validate_inconsistency, validate_sync};
+use pmrace::core::{
+    run_campaign, set_validation_cache, CampaignConfig, CampaignResult, OpMutator, PoolStart, Seed,
+};
+use pmrace::runtime::checker::{MissingFlushChecker, RedundantFlushChecker};
 use pmrace::telemetry::{self, Counter};
 use pmrace::{Op, TargetSpec};
 
@@ -100,11 +119,54 @@ fn dirty_this_thread() {
         extra_whitelist: vec![".".to_owned()],
         ..CampaignConfig::default()
     };
-    let res = run_campaign(&spec, &Seed::from_flat(&ops, 2), &cfg, None, None).unwrap();
+    let res = run_campaign(
+        &spec,
+        &Seed::from_flat(&ops, 2),
+        &cfg,
+        None,
+        PoolStart::Spare,
+    )
+    .unwrap();
     assert!(
         res.findings.inconsistencies.iter().all(|r| r.whitelisted),
         "the dirtying rule whitelists every site"
     );
+}
+
+/// The campaigns and validation that dirty the spare pool before a spare
+/// run: resize-heavy inserts on `other`, started on the spare pool or from
+/// `cp`, then every record validated with the verdict cache off, so each
+/// recovery run resets the spare pool to a crash image and writes to it.
+/// Without `cp`, one more campaign on the spare pool ends it, leaving the
+/// pool with that campaign's unpersisted stores and their metadata.
+fn dirty_the_spare_pool(other: &TargetSpec, cp: Option<&Checkpoint>) {
+    let ops: Vec<Op> = (1..=130u64)
+        .map(|k| Op::Insert { key: k, value: k })
+        .collect();
+    let seed = Seed::from_flat(&ops, 2);
+    let cfg = CampaignConfig {
+        threads: 2,
+        ..oracle_config()
+    };
+    let run = |start| run_campaign(other, &seed, &cfg, None, start).unwrap();
+    let res = run(cp.map_or(PoolStart::Spare, PoolStart::Checkpoint));
+    let reuses = telemetry::metrics::counter(Counter::ValidatePoolReuses);
+    set_validation_cache(false);
+    for rec in &res.findings.inconsistencies {
+        let _ = validate_inconsistency(other, rec);
+    }
+    for upd in &res.findings.sync_updates {
+        let _ = validate_sync(other, upd);
+    }
+    set_validation_cache(true);
+    assert!(
+        telemetry::metrics::counter(Counter::ValidatePoolReuses) > reuses,
+        "{}: no recovery run dirtied the spare pool",
+        other.name
+    );
+    if cp.is_none() {
+        run(PoolStart::Spare);
+    }
 }
 
 /// Deterministic single-driver seeds for `spec`: generated and populating
@@ -143,13 +205,33 @@ fn recycled_sessions_match_fresh_sessions() {
         "treiber-stack",
     ];
     let mut compared = 0;
+    let mut spare_compared = 0;
     for name in targets {
         let plain = pmrace::resolve_target(name).unwrap();
-        let armed = plain.with_arm(|session| session.add_checker(Arc::new(RedundantFlushChecker)));
+        let armed = plain.with_arm(|session| {
+            session.add_checker(Arc::new(RedundantFlushChecker));
+            session.add_checker(Arc::new(MissingFlushChecker));
+        });
         let cp = Checkpoint::create(&plain).unwrap();
+        let other = pmrace::resolve_target(if name == "P-CLHT" {
+            "memcached-pmem"
+        } else {
+            "P-CLHT"
+        })
+        .unwrap();
+        let other_cp = Checkpoint::create(&other).unwrap();
         for (i, seed) in seeds(&plain).iter().enumerate() {
             let spec = if i % 2 == 0 { &plain } else { &armed };
-            let run = || run_campaign(spec, seed, &oracle_config(), None, Some(&cp)).unwrap();
+            let run = || {
+                run_campaign(
+                    spec,
+                    seed,
+                    &oracle_config(),
+                    None,
+                    PoolStart::Checkpoint(&cp),
+                )
+                .unwrap()
+            };
 
             let (reuses, fresh) = counters();
             let fresh_run = run_on_new_thread(run);
@@ -174,16 +256,47 @@ fn recycled_sessions_match_fresh_sessions() {
                 // A hang's event count depends on how long the spinner
                 // waited; its verdict must still agree.
                 assert!(recycled_run.findings.hang, "{name} seed {i}: hang lost");
+            } else {
+                let (want, got) = (digest(&fresh_run), digest(&recycled_run));
+                assert!(
+                    want == got,
+                    "{name} seed {i}: recycled session differs from a fresh one\n\
+                     --- fresh\n{want}--- recycled\n{got}"
+                );
+                compared += 1;
+            }
+
+            let on = |start| run_campaign(spec, seed, &oracle_config(), None, start).unwrap();
+            let formatted_run = run_on_new_thread(|| on(PoolStart::Format));
+            let spare_run = run_on_new_thread(|| {
+                // The armed (odd) seeds run after a campaign that left
+                // unpersisted stores on the spare pool.
+                dirty_the_spare_pool(&other, (i % 2 == 0).then_some(&other_cp));
+                let resets = telemetry::metrics::counter(Counter::ExecSpareResets);
+                let run = on(PoolStart::Spare);
+                assert_eq!(
+                    telemetry::metrics::counter(Counter::ExecSpareResets),
+                    resets + 1,
+                    "{name} seed {i}: the campaign did not reset the spare pool"
+                );
+                run
+            });
+            if formatted_run.findings.hang {
+                assert!(spare_run.findings.hang, "{name} seed {i}: hang lost");
                 continue;
             }
-            let (want, got) = (digest(&fresh_run), digest(&recycled_run));
+            let (want, got) = (digest(&formatted_run), digest(&spare_run));
             assert!(
                 want == got,
-                "{name} seed {i}: recycled session differs from a fresh one\n\
-                 --- fresh\n{want}--- recycled\n{got}"
+                "{name} seed {i}: the spare pool differs from a new pool\n\
+                 --- new pool\n{want}--- spare pool\n{got}"
             );
-            compared += 1;
+            spare_compared += 1;
         }
     }
     assert!(compared >= 30, "only {compared} campaigns compared");
+    assert!(
+        spare_compared >= 30,
+        "only {spare_compared} spare-pool campaigns compared"
+    );
 }

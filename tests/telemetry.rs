@@ -1,7 +1,9 @@
 //! End-to-end checks of the observability layer: a real fuzzing run with
 //! telemetry enabled must emit a schema-valid `telemetry.json` whose
 //! numbers are consistent with the `FuzzReport`, and phase totals must be
-//! plausible against wall-clock time.
+//! plausible against wall-clock time. The pool-start counters also guard
+//! the Fig. 10 no-checkpoint baseline: without checkpoints every campaign
+//! formats a new pool.
 //!
 //! The telemetry registry is process-global, so this file keeps everything
 //! in ONE test function (each `tests/*.rs` file is its own process, which
@@ -81,6 +83,15 @@ fn fuzz_run_emits_schema_valid_consistent_telemetry() {
     );
     let restore = snap.phase("checkpoint_restore").unwrap();
     assert_eq!(restore.count, c("checkpoint.restores"));
+    // With checkpoints on, only each worker's first campaign starts on an
+    // empty pool, and it takes the spare pool instead of formatting one.
+    assert_eq!(snap.phase("pool_start").unwrap().count, c("exec.campaigns"));
+    assert_eq!(c("exec.pool_formats"), 0);
+    let spare_starts = c("exec.spare_resets") + c("exec.spare_fresh");
+    assert!(
+        (1..=2).contains(&spare_starts),
+        "{spare_starts} spare starts for 2 workers"
+    );
     let emit = snap.phase("report_emit").unwrap();
     assert_eq!(emit.count, 1, "exactly one report was emitted");
 
@@ -93,4 +104,28 @@ fn fuzz_run_emits_schema_valid_consistent_telemetry() {
     assert!(spans > 0, "at least one span buffered");
 
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The Fig. 10 no-checkpoint baseline formats a new pool for every
+    // campaign, so the ablation cannot silently become as cheap as the
+    // checkpointed run.
+    let counter = telemetry::metrics::counter;
+    let (campaigns, formats) = (
+        counter(telemetry::Counter::ExecCampaigns),
+        counter(telemetry::Counter::ExecPoolFormats),
+    );
+    let mut cfg = FuzzConfig::new("P-CLHT");
+    cfg.max_campaigns = 6;
+    cfg.workers = 1;
+    cfg.threads = 2;
+    cfg.use_checkpoint = false;
+    cfg.wall_budget = Duration::from_secs(30);
+    cfg.campaign_deadline = Duration::from_millis(300);
+    let report = Fuzzer::new(cfg).unwrap().run().unwrap();
+    let ran = counter(telemetry::Counter::ExecCampaigns) - campaigns;
+    assert_eq!(ran, report.campaigns as u64);
+    assert_eq!(
+        counter(telemetry::Counter::ExecPoolFormats) - formats,
+        ran,
+        "every no-checkpoint campaign formats a new pool"
+    );
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pmrace::core::validate::{validate_inconsistency, validate_sync};
-use pmrace::core::{run_campaign, CampaignConfig, Seed, Verdict};
+use pmrace::core::{run_campaign, CampaignConfig, PoolStart, Seed, Verdict};
 use pmrace::{target_spec, Op, Pool, Session, SessionConfig};
 use pmrace_runtime::site_label;
 
@@ -23,7 +23,7 @@ fn pclht_sync_bug2_survives_validation_and_hangs_post_restart() {
         deadline: Duration::from_secs(5),
         ..CampaignConfig::default()
     };
-    let res = run_campaign(&spec, &insert_seed(130, 1), &cfg, None, None).unwrap();
+    let res = run_campaign(&spec, &insert_seed(130, 1), &cfg, None, PoolStart::Spare).unwrap();
     let bucket = res
         .findings
         .sync_updates
@@ -62,7 +62,7 @@ fn pclht_global_locks_validate_as_false_positives() {
         deadline: Duration::from_secs(5),
         ..CampaignConfig::default()
     };
-    let res = run_campaign(&spec, &insert_seed(130, 1), &cfg, None, None).unwrap();
+    let res = run_campaign(&spec, &insert_seed(130, 1), &cfg, None, PoolStart::Spare).unwrap();
     for name in ["clht.resize_lock", "clht.gc_lock", "clht.table_status"] {
         let upd = res
             .findings
@@ -86,7 +86,7 @@ fn cceh_bug7_directory_doubling_survives_validation() {
         deadline: Duration::from_secs(8),
         ..CampaignConfig::default()
     };
-    let res = run_campaign(&spec, &insert_seed(200, 1), &cfg, None, None).unwrap();
+    let res = run_campaign(&spec, &insert_seed(200, 1), &cfg, None, PoolStart::Spare).unwrap();
     let rec = res
         .findings
         .inconsistencies
@@ -104,7 +104,7 @@ fn clevel_construction_is_whitelisted_not_buggy() {
         &insert_seed(10, 2),
         &CampaignConfig::default(),
         None,
-        None,
+        PoolStart::Spare,
     )
     .unwrap();
     assert!(!res.findings.inconsistencies.is_empty());
@@ -138,7 +138,14 @@ fn memcached_link_effects_validate_benign_but_value_effects_do_not() {
     let mut link_fp = 0;
     let mut value_bug = 0;
     for _ in 0..12 {
-        let res = run_campaign(&spec, &seed, &CampaignConfig::default(), None, None).unwrap();
+        let res = run_campaign(
+            &spec,
+            &seed,
+            &CampaignConfig::default(),
+            None,
+            PoolStart::Spare,
+        )
+        .unwrap();
         for rec in &res.findings.inconsistencies {
             let effect = site_label(rec.effect_site);
             let verdict = validate_inconsistency(&spec, rec);
