@@ -14,15 +14,13 @@
 //! same run instead: `pool_store_u64` for the instrumented cells, and
 //! `hash_u64`, a loop that runs no pmrace code, for the rest.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pmrace_core::checkpoint::Checkpoint;
 use pmrace_core::validate::validate_sync;
-use pmrace_pmem::{
-    Pool, PoolOpts, PoolSnapshot, RestoreMode, SiteTag, ThreadId, CACHE_LINE, GRANULE,
-};
+use pmrace_pmem::{CrashImage, Pool, PoolOpts, RestoreMode, SiteTag, ThreadId, CACHE_LINE};
 use pmrace_runtime::coverage::{CoverageMap, Persistency};
 use pmrace_runtime::report::SyncUpdateRecord;
 use pmrace_runtime::{site, Session, SessionConfig};
@@ -235,18 +233,14 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
     let instr_iters = 20_000;
     let cov_iters = 100_000;
 
-    // The single-threaded outer-loop cells share the P-CLHT checkpoint.
+    // The single-threaded outer-loop cells share the P-CLHT checkpoint's
+    // image: a pool just acquired from it captures that image on its base.
     let spec = target_spec("P-CLHT").expect("P-CLHT is a built-in target");
-    let snap = Checkpoint::create(&spec)
+    let image = Checkpoint::create(&spec)
         .expect("checkpoint")
         .acquire()
-        .snapshot();
-    let fresh_pool = || {
-        let pool = Pool::new(PoolOpts::with_size(snap.volatile().len()));
-        pool.restore(&snap)
-            .expect("snapshot matches its own pool size");
-        pool
-    };
+        .crash_image()
+        .expect("crash image");
 
     let mut cells = Vec::new();
     for &threads in &[1usize, 4, 8] {
@@ -397,7 +391,7 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
             }));
 
             if threads == 1 && disjoint {
-                outer_loop_cells(&mut group, &spec, &snap, &fresh_pool);
+                outer_loop_cells(&mut group, &spec, &image);
             }
             cells.extend(median_round_robin(group, reps));
         }
@@ -408,12 +402,8 @@ pub fn run_matrix(quick: bool) -> Vec<HotpathCell> {
 /// The single-threaded cells: one insert path per Table 1 target, and the
 /// outer loop's checkpoint restore, crash-image capture and memoized
 /// validation.
-fn outer_loop_cells<'a>(
-    group: &mut Vec<Measure<'a>>,
-    spec: &'a TargetSpec,
-    snap: &'a PoolSnapshot,
-    fresh_pool: &'a (dyn Fn() -> Pool + Sync),
-) {
+fn outer_loop_cells<'a>(group: &mut Vec<Measure<'a>>, spec: &'a TargetSpec, image: &'a CrashImage) {
+    let fresh_pool = || Pool::from_crash_image(image).expect("a checkpoint image is not empty");
     // Per-target operation cost: the target's insert path with the
     // strategy off (no scheduler waits), cycling over 20 keys so the
     // structure stays the same size.
@@ -439,27 +429,41 @@ fn outer_loop_cells<'a>(
         }));
     }
 
-    // Checkpoint restore paths — the pmem operations `Checkpoint::acquire`
-    // is built from, on a snapshot of the checkpointed P-CLHT image: a
-    // fresh pool per campaign vs reusing pools.
+    // Checkpoint restore paths — the one reset path `Checkpoint::acquire`
+    // is built from, on the checkpointed P-CLHT image: a fresh pool per
+    // campaign vs resetting existing pools in full or in O(dirty).
     let fresh_iters = 20;
-    // Restores rotate over eight pools: how fast one pool takes a full
-    // restore depends on where the allocator put its shard buffers, which
-    // moved a single-pool cell up to 2.6x from process to process.
-    let pools: Vec<Pool> = (0..8).map(|_| fresh_pool()).collect();
+    // Full resets rotate over eight pools: how fast one pool takes a full
+    // copy depends on where the allocator put its shard buffers, which
+    // moved a single-pool cell up to 2.6x from process to process. Each
+    // pool alternates between the image and a dense copy of it on a base
+    // of its own, so every reset moves it to another base: a full copy.
+    let other = CrashImage::from_bytes(image.bytes().to_vec());
+    let pools: Vec<(Pool, AtomicBool)> = (0..8)
+        .map(|_| {
+            (
+                Pool::from_crash_image(&other).expect("pool"),
+                AtomicBool::new(true),
+            )
+        })
+        .collect();
     group.push(Box::new(move || {
         contend("checkpoint_restore_into", 1, true, fresh_iters, |_, i| {
-            pools[i as usize % pools.len()]
-                .restore(snap)
-                .expect("restore into");
+            let (pool, on_other) = &pools[i as usize % pools.len()];
+            let img = if on_other.fetch_xor(true, Ordering::Relaxed) {
+                image
+            } else {
+                &other
+            };
+            let mode = pool.restore_crash_image(img).expect("restore into");
+            assert_eq!(mode, RestoreMode::Full);
         })
     }));
 
-    // Delta restore on a sparse campaign: each iteration dirties 48
+    // Delta reset on a sparse campaign: each iteration dirties 48
     // scattered granules (well under 5% of the pool) and resets them in
     // O(dirty) — the outer-loop fast path.
     let pool = fresh_pool();
-    let max_dirty = snap.volatile().len() / GRANULE / 4;
     let line_count = pool.size() as u64 / CACHE_LINE as u64;
     group.push(Box::new(move || {
         contend("checkpoint_restore_delta", 1, true, 200, |_, i| {
@@ -467,7 +471,9 @@ fn outer_loop_cells<'a>(
                 let off = ((i * 131 + k * 31) % line_count) * CACHE_LINE as u64;
                 pool.store_u64(off, k, ThreadId(0), SiteTag(2)).unwrap();
             }
-            let mode = pool.restore_delta(snap, max_dirty).expect("restore_delta");
+            let mode = pool
+                .restore_crash_image(image)
+                .expect("restore_crash_image");
             assert!(
                 matches!(mode, RestoreMode::Delta { .. }),
                 "sparse workload stays under the delta threshold, got {mode:?}"

@@ -13,9 +13,9 @@
 //! retires its finished [`Session`] into a thread-local slot and the next
 //! campaign on that thread resets those tables in O(touched) instead of
 //! allocating new ones (`Session::retire`, `Session::recycle`). The pool is
-//! not part of it: it goes back to where [`PoolStart`] took it from
-//! (`Checkpoint::acquire`'s cache or the process's spare pool) with the
-//! session.
+//! not part of it: it goes back with the session to the slot [`PoolStart`]
+//! took it from, the checkpoint's own or the process's spare pool (see
+//! [`crate::checkpoint`]).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,10 +64,11 @@ pub enum PoolStart<'a> {
     /// Take the process's spare pool reset to the formatted image
     /// ([`CrashImage::formatted`]), then run the target's `init`: the state
     /// `Format` builds, without the format cost. A new pool is built only
-    /// while the spare pool is in use (see `validate`'s module docs).
+    /// while the spare pool is in use (see [`crate::checkpoint`]'s module
+    /// docs).
     Spare,
-    /// Restore the checkpointed pool and reopen the target through its
-    /// recovery path (§5).
+    /// Reset the checkpoint's pool to its crash image and reopen the target
+    /// through its recovery path (§5).
     Checkpoint(&'a Checkpoint),
 }
 
@@ -377,7 +378,7 @@ fn start_pool(spec: &TargetSpec, cfg: &CampaignConfig, start: PoolStart<'_>) -> 
         PoolStart::Checkpoint(cp) if !cfg.eadr => return (cp.acquire(), true),
         PoolStart::Spare if !cfg.eadr => {
             if let Some((pool, reused)) =
-                crate::validate::spare_pool(&CrashImage::formatted(opts.size))
+                crate::checkpoint::spare_pool(&CrashImage::formatted(opts.size))
             {
                 telemetry::add(
                     if reused {

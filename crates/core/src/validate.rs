@@ -27,29 +27,11 @@
 //! cache can never change *which* bugs are reported, only how often
 //! recovery runs ([`set_validation_cache`] turns it off for A/B tests).
 //!
-//! # The spare pool
+//! # Recovery pools
 //!
-//! One process-wide slot keeps one idle pool, the *spare pool*, and hands
-//! it out reset in place to the image its next user needs
-//! ([`Pool::restore_crash_image`]) instead of building a pool. It has two
-//! users:
-//!
-//! - every recovery run here, which resets it to the record's crash image;
-//! - every campaign that starts on an empty pool
-//!   ([`PoolStart::Spare`](crate::PoolStart::Spare)), which resets it to the
-//!   formatted image ([`CrashImage::formatted`]) and then runs the target's
-//!   `init`. Such a campaign skips the pool's format cost, which is what
-//!   dominates a replay campaign on the heavy-init targets.
-//!
-//! When the pool already sits on the new image's base, the reset copies
-//! only the granules the last user wrote plus the image's overlay. That is
-//! the usual case: a campaign on the spare pool, its crash images, and the
-//! images of a campaign on a new pool all sit on the all-zero base of the
-//! pool's size. Images on a checkpoint's base take one full copy. The slot
-//! never hands out its pool while anyone else holds it: a user that
-//! overlaps another one (a validation beside a fleet worker's first
-//! campaign, say) gets a new pool for that run, and the slot keeps the one
-//! it has.
+//! Every recovery run takes the process's spare pool reset in place to
+//! the record's crash image, instead of building a pool (see
+//! [`crate::checkpoint`]'s module docs for the slot that keeps it).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -170,54 +152,10 @@ fn cache_put(key: CacheKey, verdict: Verdict) {
     stripe.insert(key, verdict);
 }
 
-/// The slot holding the spare pool (see the module docs).
-#[derive(Default)]
-struct SpareSlot(Mutex<Option<Arc<Pool>>>);
-
-impl SpareSlot {
-    /// A pool holding `img`'s recovery-time view, for one user, and
-    /// whether it is the kept pool reset in place (`false`: a new pool).
-    ///
-    /// Resets and hands out the kept pool when it is idle (nothing but the
-    /// slot references it) and of `img`'s size. An idle pool of another
-    /// size is freed before its replacement is allocated and kept. A pool
-    /// still in use is never handed out a second time: the caller gets a
-    /// new pool, and the slot keeps the one it has. `None` for an empty
-    /// image.
-    fn take(&self, img: &CrashImage) -> Option<(Arc<Pool>, bool)> {
-        let mut slot = self.0.lock();
-        match slot.as_ref() {
-            // Another user holds it: never hand it out twice.
-            Some(pool) if Arc::strong_count(pool) > 1 => {
-                drop(slot);
-                return Some((Arc::new(Pool::from_crash_image(img).ok()?), false));
-            }
-            Some(pool) if pool.size() == img.size() => {
-                let pool = Arc::clone(pool);
-                drop(slot);
-                pool.restore_crash_image(img)
-                    .expect("the kept pool's size matches the image");
-                return Some((pool, true));
-            }
-            // Free an idle pool of another size before allocating.
-            _ => *slot = None,
-        }
-        let pool = Arc::new(Pool::from_crash_image(img).ok()?);
-        *slot = Some(Arc::clone(&pool));
-        Some((pool, false))
-    }
-}
-
-/// [`SpareSlot::take`] on the process-wide slot.
-pub(crate) fn spare_pool(img: &CrashImage) -> Option<(Arc<Pool>, bool)> {
-    static SLOT: OnceLock<SpareSlot> = OnceLock::new();
-    SLOT.get_or_init(SpareSlot::default).take(img)
-}
-
 /// The spare pool reset to `img` for one recovery run, counted under
 /// `validate.pool_reuses` / `validate.pool_fresh`.
 fn recovery_pool(img: &CrashImage) -> Option<Arc<Pool>> {
-    let (pool, reused) = spare_pool(img)?;
+    let (pool, reused) = crate::checkpoint::spare_pool(img)?;
     telemetry::add(
         if reused {
             telemetry::Counter::ValidatePoolReuses
@@ -488,70 +426,6 @@ mod tests {
                 "at least one link-field inconsistency validates as FP"
             );
         }
-    }
-
-    #[test]
-    fn the_recovery_slot_reuses_only_idle_pools() {
-        use pmrace_pmem::{PoolOpts, SiteTag, ThreadId};
-        // A slot of its own: other tests validate through the shared one.
-        let slot = SpareSlot::default();
-        let src = Pool::new(PoolOpts::with_size(1 << 16));
-        src.ntstore_u64(64, 5, ThreadId(0), SiteTag(1)).unwrap();
-        let first = src.crash_image().unwrap();
-        src.ntstore_u64(128, 6, ThreadId(0), SiteTag(1)).unwrap();
-        let second = src.crash_image().unwrap();
-
-        let (a, reused) = slot.take(&first).unwrap();
-        assert!(!reused, "an empty slot builds a pool");
-        a.store_u64(4096, 9, ThreadId(0), SiteTag(2)).unwrap();
-        // A pool in use is never handed out twice, nor reset under its user.
-        let (b, reused) = slot.take(&second).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b) && !reused);
-        assert_eq!(a.load_u64(4096).unwrap().0, 9);
-        assert_eq!(b.load_u64(128).unwrap().0, 6);
-        // The slot keeps the pool it had; the overlapping run's is freed.
-        let kept = Arc::as_ptr(&a);
-        let overlapping = Arc::downgrade(&b);
-        drop((a, b));
-        assert!(overlapping.upgrade().is_none());
-        // An idle pool of the matching size is reset and reused.
-        let (c, reused) = slot.take(&second).unwrap();
-        assert!(reused);
-        assert_eq!(Arc::as_ptr(&c), kept, "the idle pool is reused");
-        assert_eq!(c.crash_image().unwrap(), second);
-        assert_eq!(c.load_u64(128).unwrap().0, 6);
-        assert_eq!(
-            c.load_u64(4096).unwrap().0,
-            0,
-            "the last run's store is gone"
-        );
-        drop(c);
-        // The formatted image is one more image: the same pool, all zero.
-        let (f, reused) = slot.take(&CrashImage::formatted(1 << 16)).unwrap();
-        assert!(reused);
-        assert_eq!(Arc::as_ptr(&f), kept);
-        assert_eq!(f.load_u64(128).unwrap().0, 0);
-        assert_eq!(
-            f.crash_image().unwrap().cache_key(),
-            Pool::new(PoolOpts::with_size(1 << 16))
-                .crash_image()
-                .unwrap()
-                .cache_key(),
-            "a formatted spare captures like a new pool"
-        );
-        let retired = Arc::downgrade(&f);
-        drop(f);
-        // Another size: the idle pool is freed and its replacement kept.
-        let other = Pool::new(PoolOpts::with_size(1 << 12))
-            .crash_image()
-            .unwrap();
-        let (d, reused) = slot.take(&other).unwrap();
-        assert!(retired.upgrade().is_none(), "the old-size pool is freed");
-        assert!(!reused);
-        assert_eq!(d.size(), 1 << 12);
-        let replacement = Arc::as_ptr(&d);
-        drop(d);
-        assert_eq!(Arc::as_ptr(&slot.take(&other).unwrap().0), replacement);
     }
 
     /// The reference for a recycled recovery pool: a new pool of the image's

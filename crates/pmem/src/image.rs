@@ -183,20 +183,11 @@ pub(crate) struct Shard {
     pub(crate) dirty: Vec<u32>,
     /// Membership flags for `dirty` (no duplicate entries).
     dirty_flag: Vec<bool>,
-    /// Local granules whose metadata was ever set since the last
-    /// [`Shard::clear_tracking`]; lets snapshot/restore touch only written
-    /// metadata instead of sweeping the whole pool. May contain granules
-    /// whose meta was later reset to default (a delta restore of a
-    /// never-snapshotted granule); consumers filter on `seq != 0`.
-    pub(crate) touched: Vec<u32>,
-    /// Membership flags for `touched` (no duplicate entries).
-    touched_flag: Vec<bool>,
-    /// Restore epoch: bumped at the end of every pool restore. Granules
-    /// stamped with the current epoch are exactly those whose metadata
-    /// changed since the last restore, plus the overlay granules a
-    /// crash-image reset patched over its base — the O(dirty) working set
-    /// that delta restore copies back and copy-on-write crash images
-    /// overlay.
+    /// Reset epoch: bumped at every pool reset. Granules stamped with the
+    /// current epoch are exactly those whose metadata changed since the
+    /// last reset, plus the overlay granules the reset patched over its
+    /// base — the O(dirty) working set that a delta reset copies back and
+    /// copy-on-write crash images overlay.
     epoch: u32,
     /// Per-granule epoch stamp (`0` = never stamped).
     epoch_stamp: Vec<u32>,
@@ -213,22 +204,16 @@ impl Shard {
             pending: Vec::new(),
             dirty: Vec::new(),
             dirty_flag: vec![false; lines * GRANULES_PER_LINE as usize],
-            touched: Vec::new(),
-            touched_flag: vec![false; lines * GRANULES_PER_LINE as usize],
             epoch: 1,
             epoch_stamp: vec![0; lines * GRANULES_PER_LINE as usize],
             epoch_list: Vec::new(),
         }
     }
 
-    /// Overwrite granule metadata, keeping the touched, dirty, and epoch
-    /// lists consistent.
+    /// Overwrite granule metadata, keeping the dirty and epoch lists
+    /// consistent.
     pub(crate) fn set_meta(&mut self, lg: u32, m: GranuleMeta) {
         let i = lg as usize;
-        if !self.touched_flag[i] {
-            self.touched_flag[i] = true;
-            self.touched.push(lg);
-        }
         self.stamp_epoch(lg);
         self.meta[i] = m;
         if m.state.is_unpersisted() && !self.dirty_flag[i] {
@@ -247,20 +232,6 @@ impl Shard {
         }
     }
 
-    /// Close the current restore epoch: everything stamped so far becomes
-    /// "already restored"; the next epoch starts empty. Called at the *end*
-    /// of both restore paths so the restore's own metadata writes do not
-    /// pollute the new epoch.
-    pub(crate) fn end_epoch(&mut self) {
-        self.epoch_list.clear();
-        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
-            // ~4 billion restores: recycle stamps rather than alias epoch 0
-            // ("never stamped") with a live epoch.
-            self.epoch_stamp.fill(0);
-            1
-        });
-    }
-
     /// Drop dirty-list entries whose granule is `Clean` again.
     pub(crate) fn compact_dirty(&mut self) {
         let meta = &self.meta;
@@ -275,18 +246,24 @@ impl Shard {
         });
     }
 
-    /// Forget all list/flag state (full-restore path). Metadata of
-    /// previously touched granules is reset to default.
+    /// Reset path: return the granules stamped in the current epoch to
+    /// default metadata (off the epoch list it is default already), forget
+    /// the dirty list and queued write-backs, and start a new, empty epoch.
     pub(crate) fn clear_tracking(&mut self) {
+        for &lg in &self.epoch_list {
+            self.meta[lg as usize] = GranuleMeta::default();
+        }
+        self.epoch_list.clear();
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            // ~4 billion resets: recycle stamps rather than alias epoch 0
+            // ("never stamped") with a live epoch.
+            self.epoch_stamp.fill(0);
+            1
+        });
         for &lg in &self.dirty {
             self.dirty_flag[lg as usize] = false;
         }
         self.dirty.clear();
-        for &lg in &self.touched {
-            self.meta[lg as usize] = GranuleMeta::default();
-            self.touched_flag[lg as usize] = false;
-        }
-        self.touched.clear();
         self.pending.clear();
     }
 
@@ -388,7 +365,6 @@ mod tests {
         shard.set_meta(3, dirty);
         shard.set_meta(3, dirty); // no duplicate entry
         assert_eq!(shard.dirty, vec![3]);
-        assert_eq!(shard.touched, vec![3]);
         shard.set_meta(
             3,
             GranuleMeta {
@@ -403,7 +379,6 @@ mod tests {
         // Re-dirtying after compaction re-registers the granule.
         shard.set_meta(3, GranuleMeta { seq: 3, ..dirty });
         assert_eq!(shard.dirty, vec![3]);
-        assert_eq!(shard.touched, vec![3], "touched only records first write");
     }
 
     #[test]
@@ -418,10 +393,10 @@ mod tests {
         shard.set_meta(2, m); // no duplicate entry
         shard.set_meta(5, m);
         assert_eq!(shard.epoch_list, vec![2, 5]);
-        shard.end_epoch();
-        assert!(shard.epoch_list.is_empty(), "restore closes the epoch");
+        shard.clear_tracking();
+        assert!(shard.epoch_list.is_empty(), "a reset closes the epoch");
+        assert!(shard.dirty.is_empty() && shard.meta.iter().all(|m| *m == GranuleMeta::default()));
         shard.set_meta(2, m);
         assert_eq!(shard.epoch_list, vec![2], "re-stamped under the new epoch");
-        assert_eq!(shard.touched, vec![2, 5], "touched spans epochs");
     }
 }

@@ -59,7 +59,7 @@ pub use alloc::{AllocStats, PmAllocator, TxAllocHandle};
 pub use error::PmemError;
 pub use image::{granule_hash, GranuleMeta, PersistState, CACHE_LINE, GRANULE};
 pub use pool::{InitCost, LoadInfo, Pool, PoolOpts, RestoreMode, StoreInfo};
-pub use snapshot::{CrashImage, PoolSnapshot};
+pub use snapshot::CrashImage;
 
 /// Identifier of a thread executing against a [`Pool`].
 ///

@@ -7,7 +7,7 @@
 //! cache line — the common case for the word-sized PM stores the evaluated
 //! systems issue — take exactly one shard lock; ranges spanning lines lock
 //! the involved shards in ascending index order, and whole-image operations
-//! (crash images, snapshot/restore, dirty-set walks) lock *all* shards in
+//! (crash images, resets, dirty-set walks) lock *all* shards in
 //! ascending order, which makes them linearization points against every
 //! concurrent access. The single ascending order makes the scheme
 //! deadlock-free.
@@ -27,7 +27,7 @@ use crate::image::{
     global_granule, granule_of, granules, lines_of_shard, local_byte, local_granule,
     shard_of_granule, shard_of_line, Shard, GRANULE, GRANULES_PER_LINE, N_SHARDS,
 };
-use crate::snapshot::{BaseImage, CrashImage, PoolSnapshot};
+use crate::snapshot::{BaseImage, CrashImage};
 use crate::{GranuleMeta, PersistState, PmemError, SiteTag, ThreadId, CACHE_LINE};
 
 /// Shared base plus offset-sorted granule overlay — the raw material of a
@@ -232,37 +232,23 @@ pub struct Pool {
     pending_shards: AtomicU64,
     size: usize,
     opts: PoolOpts,
-    /// The image this pool sits on. Lock order: taken while shard locks
-    /// are held (leaf).
-    base: Mutex<Base>,
+    /// The image this pool sits on. Off the shards' epoch lists both of the
+    /// pool's images equal it and every granule's metadata is default:
+    /// every mutation sets metadata on the same granule under the same
+    /// shard lock, and [`Pool::restore_crash_image`] leaves no exception.
+    /// That is what makes delta resets and copy-on-write crash images
+    /// O(dirty). Lock order: taken while shard locks are held (leaf).
+    base: Mutex<Arc<BaseImage>>,
 }
 
-/// The shared image a pool sits on. The pool's persistent image differs
-/// from it only at granules in the shards' epoch lists (every persistent
-/// mutation sets metadata on the same granule under the same shard lock),
-/// which is what makes delta resets and copy-on-write crash images
-/// O(dirty).
-#[derive(Debug)]
-struct Base {
-    image: Arc<BaseImage>,
-    /// `true` when, off the epoch lists, the volatile image equals `image`
-    /// too and every granule's metadata is default: a new pool (on the
-    /// all-zero image) or one reset to a crash image. `false` after a
-    /// snapshot restore, where off the epoch lists the pool equals that
-    /// snapshot, whose volatile image and metadata may differ from its
-    /// persistent base.
-    clean: bool,
-}
-
-/// How a [`Pool::restore_delta`] or [`Pool::restore_crash_image`] call
-/// was actually performed.
+/// How a [`Pool::restore_crash_image`] call was performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreMode {
-    /// Full image copy: the pool did not sit on the source's base yet, or
-    /// the dirty set exceeded the threshold.
+    /// Full image copy: the pool did not sit on the image's base yet, or
+    /// the granules to copy exceeded a quarter of the pool.
     Full,
-    /// Only the granules written since the previous restore (plus, for a
-    /// crash image, its overlay) were copied.
+    /// Only the granules written since the previous reset plus the image's
+    /// overlay were copied.
     Delta {
         /// Number of granules copied.
         granules: usize,
@@ -275,32 +261,28 @@ fn new_shards(size: usize) -> Box<[Mutex<Shard>]> {
         .collect()
 }
 
-/// Copy a dense image into the shards' interleaved lines.
-fn scatter_into(shards: &mut [&mut Shard], bytes: &[u8], persistent: bool) {
-    for (l, chunk) in bytes.chunks(CACHE_LINE).enumerate() {
-        let shard = &mut shards[shard_of_line(l as u64)];
-        let lb = local_line_byte(l);
-        let dst = if persistent {
-            &mut shard.persistent
-        } else {
-            &mut shard.volatile
-        };
-        dst[lb..lb + chunk.len()].copy_from_slice(chunk);
+/// Copy a dense image into both images of the shards' interleaved lines.
+fn scatter_into(shards: &mut [MutexGuard<'_, Shard>], bytes: &[u8]) {
+    for persistent in [false, true] {
+        for (l, chunk) in bytes.chunks(CACHE_LINE).enumerate() {
+            let shard = &mut shards[shard_of_line(l as u64)];
+            let lb = local_line_byte(l);
+            let dst = if persistent {
+                &mut shard.persistent
+            } else {
+                &mut shard.volatile
+            };
+            dst[lb..lb + chunk.len()].copy_from_slice(chunk);
+        }
     }
 }
 
-/// Assemble a dense image from the shards' interleaved lines.
-fn gather_from(shards: &[&Shard], size: usize, persistent: bool) -> Vec<u8> {
+/// Assemble the dense persistent image from the shards' interleaved lines.
+fn gather_persistent(shards: &[MutexGuard<'_, Shard>], size: usize) -> Vec<u8> {
     let mut out = vec![0u8; size];
     for (l, chunk) in out.chunks_mut(CACHE_LINE).enumerate() {
-        let shard = shards[shard_of_line(l as u64)];
         let lb = local_line_byte(l);
-        let src = if persistent {
-            &shard.persistent
-        } else {
-            &shard.volatile
-        };
-        chunk.copy_from_slice(&src[lb..lb + chunk.len()]);
+        chunk.copy_from_slice(&shards[shard_of_line(l as u64)].persistent[lb..lb + chunk.len()]);
     }
     out
 }
@@ -319,10 +301,7 @@ impl Pool {
             pending_shards: AtomicU64::new(0),
             size: opts.size,
             opts,
-            base: Mutex::new(Base {
-                image: BaseImage::zeroed(opts.size),
-                clean: true,
-            }),
+            base: Mutex::new(BaseImage::zeroed(opts.size)),
         };
         pool.run_init_cost();
         pool
@@ -350,16 +329,16 @@ impl Pool {
     /// equal the surviving bytes, every granule is `Clean` with default
     /// metadata, the store counter is 0 and no write-back is queued —
     /// exactly what [`Pool::from_crash_image`] builds, without the
-    /// allocation.
+    /// allocation. This is the pool's one reset path: checkpoint, spare
+    /// and recovery pools all go through it.
     ///
-    /// When the pool already sits on `img`'s base with a clean state (a
-    /// new pool and `img` captured from a never-restored one, or the
-    /// previous reset was to an image on the same base), only the granules
-    /// written since plus `img`'s overlay are copied
-    /// ([`RestoreMode::Delta`]); otherwise, or past a quarter of the pool,
-    /// the base is copied whole and the overlay patched on top
-    /// ([`RestoreMode::Full`]). Either way the pool then sits on `img`'s
-    /// base, so later captures from it stay copy-on-write.
+    /// When the pool already sits on `img`'s base, only the granules
+    /// written since the previous reset plus `img`'s overlay are copied
+    /// ([`RestoreMode::Delta`], recorded under `restore.dirty_lines`);
+    /// otherwise, or past a quarter of the pool, the base is copied whole
+    /// and the overlay patched on top ([`RestoreMode::Full`]). Either way
+    /// the pool then sits on `img`'s base, so later captures from it stay
+    /// copy-on-write.
     ///
     /// # Errors
     ///
@@ -376,29 +355,40 @@ impl Pool {
         let src = img.base().bytes();
         let overlay = img.overlay();
         let dirty: usize = guards.iter().map(|g| g.epoch_list.len()).sum();
-        let delta = base.clean
-            && base.image.id() == img.base().id()
-            && dirty + overlay.len() <= self.size / GRANULE / 4;
-        for (s, shard) in guards.iter_mut().enumerate() {
+        let delta =
+            base.id() == img.base().id() && dirty + overlay.len() <= self.size / GRANULE / 4;
+        // Restored lines are only collected for the telemetry histogram.
+        let mut lines: Vec<u64> = Vec::new();
+        for (s, guard) in guards.iter_mut().enumerate() {
+            let shard = &mut **guard;
             if delta {
-                for lg in std::mem::take(&mut shard.epoch_list) {
-                    let off = global_granule(s, lg) as usize * GRANULE;
+                for &lg in &shard.epoch_list {
+                    let g = global_granule(s, lg);
+                    let off = g as usize * GRANULE;
+                    // The tail granule of an odd-sized pool is partial in
+                    // the dense image; its padding bytes stay zero.
                     let n = GRANULE.min(self.size - off);
                     let lb = lg as usize * GRANULE;
                     shard.volatile[lb..lb + n].copy_from_slice(&src[off..off + n]);
                     shard.persistent[lb..lb + n].copy_from_slice(&src[off..off + n]);
-                    shard.set_meta(lg, GranuleMeta::default());
+                    if telemetry::enabled() {
+                        lines.push(g / GRANULES_PER_LINE);
+                    }
                 }
-                shard.pending.clear();
-            } else {
-                shard.clear_tracking();
             }
-            shard.end_epoch();
+            shard.clear_tracking();
         }
-        if !delta {
-            let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
-            scatter_into(&mut refs, src, false);
-            scatter_into(&mut refs, src, true);
+        if delta {
+            if telemetry::enabled() {
+                lines.sort_unstable();
+                lines.dedup();
+                telemetry::metrics::record(
+                    telemetry::Histogram::RestoreDirtyLines,
+                    lines.len() as u64,
+                );
+            }
+        } else {
+            scatter_into(&mut guards, src);
         }
         // The overlay granules differ from the base: patch them into both
         // images and stamp them into the new epoch, so the next reset
@@ -415,10 +405,7 @@ impl Pool {
         }
         self.seq.store(0, Ordering::Relaxed);
         self.pending_shards.store(0, Ordering::Relaxed);
-        *base = Base {
-            image: Arc::clone(img.base()),
-            clean: true,
-        };
+        *base = Arc::clone(img.base());
         Ok(if delta {
             RestoreMode::Delta {
                 granules: dirty + overlay.len(),
@@ -1020,21 +1007,22 @@ impl Pool {
         if let Some((base, overlay)) = self.cow_overlay(&guards) {
             return Ok(Self::finish_cow(base, overlay));
         }
-        let refs: Vec<&Shard> = guards.iter().map(|g| &**g).collect();
-        Ok(CrashImage::from_bytes(gather_from(&refs, self.size, true)))
+        Ok(CrashImage::from_bytes(gather_persistent(
+            &guards, self.size,
+        )))
     }
 
     /// Copy-on-write capture: the pool's persistent image differs from the
-    /// base it sits on only at epoch-listed granules (see [`Base`]), so the
-    /// current persistent bytes of those granules form a complete overlay
-    /// over the shared base. Returns `None` when the dirty set is denser
+    /// base it sits on only at epoch-listed granules (see the `base`
+    /// field), so the current persistent bytes of those granules form a
+    /// complete overlay over the shared base. Returns `None` when the dirty set is denser
     /// than half the pool (a plain copy is cheaper then).
     fn cow_overlay(&self, guards: &[MutexGuard<'_, Shard>]) -> Option<CowCapture> {
         let dirty: usize = guards.iter().map(|g| g.epoch_list.len()).sum();
         if dirty * GRANULE > self.size / 2 {
             return None;
         }
-        let base = Arc::clone(&self.base.lock().image);
+        let base = Arc::clone(&self.base.lock());
         let mut overlay = Vec::with_capacity(dirty);
         for (s, shard) in guards.iter().enumerate() {
             for &lg in &shard.epoch_list {
@@ -1111,8 +1099,7 @@ impl Pool {
             }
             return Ok(Self::finish_cow(base, overlay));
         }
-        let refs: Vec<&Shard> = guards.iter().map(|g| &**g).collect();
-        let mut bytes = gather_from(&refs, self.size, true);
+        let mut bytes = gather_persistent(&guards, self.size);
         let line = CACHE_LINE as u64;
         for &(off, len) in ranges {
             if len == 0 {
@@ -1124,167 +1111,10 @@ impl Pool {
                 let lb = local_byte(seg_start);
                 let seg_len = (seg_end - seg_start) as usize;
                 bytes[seg_start as usize..seg_end as usize]
-                    .copy_from_slice(&refs[shard_of_line(l)].volatile[lb..lb + seg_len]);
+                    .copy_from_slice(&guards[shard_of_line(l)].volatile[lb..lb + seg_len]);
             }
         }
         Ok(CrashImage::from_bytes(bytes))
-    }
-
-    /// Full checkpoint of pool state (both images + metadata), used by the
-    /// fuzzer's in-memory checkpoints (§5).
-    ///
-    /// ```
-    /// use pmrace_pmem::{Pool, PoolOpts, SiteTag, ThreadId};
-    ///
-    /// let pool = Pool::new(PoolOpts::small());
-    /// let t0 = ThreadId(0);
-    /// pool.store_u64(64, 1, t0, SiteTag(0)).unwrap();
-    /// let snap = pool.snapshot();
-    ///
-    /// pool.store_u64(64, 2, t0, SiteTag(0)).unwrap();
-    /// assert_eq!(pool.load_u64(64).unwrap().0, 2);
-    ///
-    /// // Restore rewinds both images and the per-line persistency state.
-    /// pool.restore(&snap).unwrap();
-    /// assert_eq!(pool.load_u64(64).unwrap().0, 1);
-    /// ```
-    #[must_use]
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let guards = self.lock_all();
-        let refs: Vec<&Shard> = guards.iter().map(|g| &**g).collect();
-        let volatile = gather_from(&refs, self.size, false);
-        let persistent = gather_from(&refs, self.size, true);
-        let mut meta = std::collections::HashMap::new();
-        for (s, shard) in refs.iter().enumerate() {
-            for &lg in &shard.touched {
-                let m = shard.meta[lg as usize];
-                // The touched list may hold granules whose meta reverted to
-                // default (delta-restored without a snapshot entry).
-                if m.seq != 0 {
-                    meta.insert(global_granule(s, lg), m);
-                }
-            }
-        }
-        PoolSnapshot::new(volatile, persistent, meta, self.seq.load(Ordering::Relaxed))
-    }
-
-    /// Restore pool state from a checkpoint taken with [`Pool::snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::InvalidImage`] if the snapshot size differs from
-    /// this pool's size.
-    pub fn restore(&self, snap: &PoolSnapshot) -> Result<(), PmemError> {
-        if snap.volatile().len() != self.size {
-            return Err(PmemError::InvalidImage {
-                reason: "snapshot size mismatch",
-            });
-        }
-        let mut guards = self.lock_all();
-        self.restore_full_locked(&mut guards, snap);
-        Ok(())
-    }
-
-    /// Restore from `snap`, copying back only the granules written since
-    /// the last restore when this pool was last restored from the *same*
-    /// snapshot (O(dirty) instead of O(pool size)). Falls back to the full
-    /// copy on the first restore, on a snapshot change, or when more than
-    /// `max_dirty` granules are dirty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmemError::InvalidImage`] if the snapshot size differs from
-    /// this pool's size.
-    pub fn restore_delta(
-        &self,
-        snap: &PoolSnapshot,
-        max_dirty: usize,
-    ) -> Result<RestoreMode, PmemError> {
-        if snap.volatile().len() != self.size {
-            return Err(PmemError::InvalidImage {
-                reason: "snapshot size mismatch",
-            });
-        }
-        let mut guards = self.lock_all();
-        let restorable = {
-            let base = self.base.lock();
-            !base.clean && base.image.id() == snap.base_id()
-        };
-        let total: usize = guards.iter().map(|g| g.epoch_list.len()).sum();
-        if !restorable || total > max_dirty {
-            self.restore_full_locked(&mut guards, snap);
-            return Ok(RestoreMode::Full);
-        }
-        let (vol, per, meta_map) = (snap.volatile(), snap.persistent(), snap.meta());
-        // Restored lines are only collected for the telemetry histogram.
-        let mut lines: Vec<u64> = Vec::new();
-        if telemetry::enabled() {
-            lines.reserve_exact(total);
-        }
-        for (s, shard) in guards.iter_mut().enumerate() {
-            // Taken so `set_meta` can run while it is walked, and put back
-            // so the list keeps its capacity: the walk stamps nothing new
-            // (every listed granule already carries this epoch's stamp),
-            // and `finish_restore` empties it.
-            let mut list = std::mem::take(&mut shard.epoch_list);
-            for &lg in &list {
-                let g = global_granule(s, lg);
-                let off = g as usize * GRANULE;
-                // The tail granule of an odd-sized pool is partial in the
-                // dense snapshot; its padding bytes are unwritable and stay
-                // zero in the shard.
-                let n = GRANULE.min(self.size - off);
-                let lb = lg as usize * GRANULE;
-                shard.volatile[lb..lb + n].copy_from_slice(&vol[off..off + n]);
-                shard.persistent[lb..lb + n].copy_from_slice(&per[off..off + n]);
-                shard.set_meta(lg, meta_map.get(&g).copied().unwrap_or_default());
-                if telemetry::enabled() {
-                    lines.push(g / GRANULES_PER_LINE);
-                }
-            }
-            list.clear();
-            shard.epoch_list = list;
-            shard.pending.clear();
-        }
-        if telemetry::enabled() {
-            lines.sort_unstable();
-            lines.dedup();
-            telemetry::metrics::record(telemetry::Histogram::RestoreDirtyLines, lines.len() as u64);
-        }
-        self.finish_restore(&mut guards, snap);
-        Ok(RestoreMode::Delta { granules: total })
-    }
-
-    /// Full-copy restore body, with all shard locks held.
-    fn restore_full_locked(&self, guards: &mut [MutexGuard<'_, Shard>], snap: &PoolSnapshot) {
-        for shard in guards.iter_mut() {
-            shard.clear_tracking();
-        }
-        {
-            let mut refs: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
-            scatter_into(&mut refs, snap.volatile(), false);
-            scatter_into(&mut refs, snap.persistent(), true);
-        }
-        for (&g, &m) in snap.meta() {
-            guards[shard_of_granule(g)].set_meta(local_granule(g), m);
-        }
-        self.finish_restore(guards, snap);
-    }
-
-    /// Common restore epilogue: close the epoch (the restore's own metadata
-    /// writes must not count as post-restore dirt), reset the pool-wide
-    /// counters, and sit on the snapshot's base for delta restore and COW
-    /// crash images.
-    fn finish_restore(&self, guards: &mut [MutexGuard<'_, Shard>], snap: &PoolSnapshot) {
-        for shard in guards.iter_mut() {
-            shard.end_epoch();
-        }
-        self.seq.store(snap.seq(), Ordering::Relaxed);
-        self.pending_shards.store(0, Ordering::Relaxed);
-        *self.base.lock() = Base {
-            image: Arc::clone(snap.base()),
-            clean: false,
-        };
     }
 }
 
@@ -1457,15 +1287,16 @@ mod tests {
         let p = pool();
         p.store_u64(64, 1, T0, TAG).unwrap();
         p.persist(64, 8, T0).unwrap();
-        p.store_u64(72, 2, T0, TAG).unwrap();
-        let snap = p.snapshot();
+        p.store_u64(72, 2, T0, TAG).unwrap(); // lost in the crash
+        let img = p.crash_image().unwrap();
         p.ntstore_u64(64, 100, T0, TAG).unwrap();
-        p.ntstore_u64(72, 100, T0, TAG).unwrap();
-        p.restore(&snap).unwrap();
+        p.ntstore_u64(4096, 100, T0, TAG).unwrap();
+        p.restore_crash_image(&img).unwrap();
         assert_eq!(p.load_u64(64).unwrap().0, 1);
-        assert_eq!(p.load_u64(72).unwrap().0, 2);
-        assert_eq!(p.meta_at(72).state, PersistState::Dirty);
-        assert_eq!(p.crash_image().unwrap().load_u64(72).unwrap(), 0);
+        assert_eq!(p.load_u64(72).unwrap().0, 0);
+        assert_eq!(p.load_u64(4096).unwrap().0, 0);
+        assert_eq!(p.meta_at(64), GranuleMeta::default());
+        assert_eq!(p.crash_image().unwrap(), img);
     }
 
     #[test]
@@ -1473,45 +1304,47 @@ mod tests {
         let p = pool();
         p.store_u64(64, 1, T0, TAG).unwrap();
         p.persist(64, 8, T0).unwrap();
-        p.store_u64(72, 2, T0, TAG).unwrap();
-        let snap = p.snapshot();
-        // First restore from this snapshot is necessarily a full copy.
-        assert_eq!(
-            p.restore_delta(&snap, usize::MAX).unwrap(),
-            RestoreMode::Full
-        );
+        let img = CrashImage::from_bytes(p.crash_image().unwrap().bytes().to_vec());
+        // The first reset to an image on a base of its own is a full copy.
+        assert_eq!(p.restore_crash_image(&img).unwrap(), RestoreMode::Full);
         for round in 0..3 {
             // Dirty a few granules in different shards, some persisted.
             p.ntstore_u64(64, 100 + round, T0, TAG).unwrap();
             p.store_u64(4096, 7, T1, TAG).unwrap();
             p.store_u64(131, 9, T0, TAG).unwrap(); // cross-granule
             p.persist(4096, 8, T1).unwrap();
-            let mode = p.restore_delta(&snap, usize::MAX).unwrap();
+            let mode = p.restore_crash_image(&img).unwrap();
             assert!(matches!(mode, RestoreMode::Delta { granules } if granules >= 4));
             assert_eq!(p.load_u64(64).unwrap().0, 1);
-            assert_eq!(p.load_u64(72).unwrap().0, 2);
             assert_eq!(p.load_u64(4096).unwrap().0, 0);
             assert_eq!(p.load_u64(128).unwrap().0, 0);
-            assert_eq!(p.meta_at(72).state, PersistState::Dirty);
-            assert_eq!(p.meta_at(4096).state, PersistState::Clean);
-            assert_eq!(p.crash_image().unwrap().load_u64(64).unwrap(), 1);
-            assert_eq!(p.crash_image().unwrap().load_u64(4096).unwrap(), 0);
+            for off in [64, 128, 136, 4096] {
+                assert_eq!(p.meta_at(off), GranuleMeta::default());
+            }
+            assert_eq!(p.unpersisted_granules(), 0);
+            assert_eq!(p.store_seq(), 0);
+            assert_eq!(p.crash_image().unwrap(), img);
         }
-        // Over-threshold dirt falls back to the full path and stays correct.
-        p.store_u64(200, 3, T0, TAG).unwrap();
-        assert_eq!(p.restore_delta(&snap, 0).unwrap(), RestoreMode::Full);
+        // Past a quarter of the pool the reset falls back to the full copy
+        // and stays correct.
+        p.store(0, &vec![3; p.size() / 2], T0, TAG).unwrap();
+        assert_eq!(p.restore_crash_image(&img).unwrap(), RestoreMode::Full);
         assert_eq!(p.load_u64(200).unwrap().0, 0);
+        assert_eq!(p.meta_at(200), GranuleMeta::default());
+        assert_eq!(p.crash_image().unwrap(), img);
     }
 
     /// Dense reference capture built without the overlay path: the
-    /// snapshot's persistent bytes with `ranges` patched from its volatile
+    /// pool's persistent bytes with `ranges` patched from its volatile
     /// bytes.
     fn dense_capture(p: &Pool, ranges: &[(u64, usize)]) -> CrashImage {
-        let snap = p.snapshot();
-        let mut bytes = snap.persistent().to_vec();
+        let guards = p.lock_all();
+        let mut bytes = gather_persistent(&guards, p.size());
         for &(off, len) in ranges {
-            let r = off as usize..off as usize + len;
-            bytes[r.clone()].copy_from_slice(&snap.volatile()[r]);
+            for o in off..off + len as u64 {
+                bytes[o as usize] =
+                    guards[shard_of_line(o / CACHE_LINE as u64)].volatile[local_byte(o)];
+            }
         }
         CrashImage::from_bytes(bytes)
     }
@@ -1522,15 +1355,18 @@ mod tests {
         let fresh = Pool::new(p.opts());
         p.store_u64(64, 1, T0, TAG).unwrap();
         p.persist(64, 8, T0).unwrap();
-        let snap = p.snapshot();
-        p.restore(&snap).unwrap(); // sits on the snapshot's base
+        // Sits on a base of its own, as a checkpoint pool does.
+        p.restore_crash_image(&CrashImage::from_bytes(
+            p.crash_image().unwrap().bytes().to_vec(),
+        ))
+        .unwrap();
         let ops = |q: &Pool| {
             q.store_u64(72, 5, T0, TAG).unwrap();
             q.ntstore_u64(4096, 6, T1, TAG).unwrap();
             q.store_u64(131, 9, T0, TAG).unwrap();
         };
-        // Same ops on a never-restored pool (on the all-zero base) except
-        // the snapshot-time store, replayed to align the images.
+        // Same ops on a never-reset pool (on the all-zero base) except the
+        // store under the reset image, replayed to align the images.
         fresh.store_u64(64, 1, T0, TAG).unwrap();
         fresh.persist(64, 8, T0).unwrap();
         ops(&p);
@@ -1602,23 +1438,16 @@ mod tests {
     }
 
     #[test]
-    fn restore_delta_rejects_size_mismatch() {
-        let p = Pool::new(PoolOpts::with_size(64));
-        let other = Pool::new(PoolOpts::with_size(128));
-        let snap = other.snapshot();
-        assert!(matches!(
-            p.restore_delta(&snap, usize::MAX).unwrap_err(),
-            PmemError::InvalidImage { .. }
-        ));
-    }
-
-    #[test]
     fn restore_rejects_size_mismatch() {
         let p = Pool::new(PoolOpts::with_size(64));
         let other = Pool::new(PoolOpts::with_size(128));
-        let snap = other.snapshot();
         assert!(matches!(
-            p.restore(&snap).unwrap_err(),
+            p.restore_crash_image(&other.crash_image().unwrap())
+                .unwrap_err(),
+            PmemError::InvalidImage { .. }
+        ));
+        assert!(matches!(
+            Pool::from_crash_image(&CrashImage::from_bytes(Vec::new())).unwrap_err(),
             PmemError::InvalidImage { .. }
         ));
     }

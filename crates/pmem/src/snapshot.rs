@@ -1,15 +1,13 @@
-//! Crash images and full pool checkpoints.
+//! Crash images.
 //!
-//! Both are built around one sharing primitive: an identity-tagged,
-//! immutable [`BaseImage`]. A [`PoolSnapshot`] holds its persistent bytes
-//! as a `BaseImage`, and every pool sits on one: a new pool on the
-//! process-wide all-zero image of its size, a restored pool on its
-//! snapshot's, a pool reset to a crash image on that image's. Crash images
-//! captured from a pool are *copy-on-write* — an `Arc` of the base plus a
-//! sparse overlay of the granules written since — instead of a pool-sized
-//! byte clone per candidate.
+//! Built around one sharing primitive: an identity-tagged, immutable
+//! [`BaseImage`]. Every pool sits on one: a new pool on the process-wide
+//! all-zero image of its size, a pool reset to a crash image on that
+//! image's (a checkpoint is one more crash image, on a base of its own).
+//! Crash images captured from a pool are *copy-on-write* — an `Arc` of the
+//! base plus a sparse overlay of the granules written since — instead of a
+//! pool-sized byte clone per candidate.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -17,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::image::GRANULE;
-use crate::{GranuleMeta, PmemError};
+use crate::PmemError;
 
 /// Issues process-unique [`BaseImage`] ids. Never reused (unlike `Arc`
 /// pointer addresses), so an id equality check can never confuse two
@@ -75,8 +73,8 @@ impl BaseImage {
 ///
 /// Representation: a shared immutable base plus a sorted sparse overlay of
 /// granule-sized chunks. Images captured from a pool share the base it
-/// sits on (the checkpoint's persistent image, the crash image it was
-/// reset to, or the all-zero image of a new pool) and carry only the
+/// sits on (the image it was last reset to — a checkpoint's, say — or the
+/// all-zero image of a new pool) and carry only the
 /// granules written since; [`CrashImage::from_bytes`] wraps a dense byte
 /// vector as its own base with an empty overlay, and a capture whose dirty
 /// set exceeds half the pool is dense too. Read semantics are byte-identical
@@ -273,69 +271,6 @@ impl PartialEq for CrashImage {
 }
 
 impl Eq for CrashImage {}
-
-/// Full checkpoint of pool state: both images, granule metadata, and the
-/// store sequence counter. Used for the fuzzer's in-memory checkpoints of an
-/// initialized pool (the AFL++ fork-server substitute, §5).
-#[derive(Debug, Clone)]
-pub struct PoolSnapshot {
-    volatile: Vec<u8>,
-    persistent: Arc<BaseImage>,
-    meta: HashMap<u64, GranuleMeta>,
-    seq: u64,
-}
-
-impl PoolSnapshot {
-    pub(crate) fn new(
-        volatile: Vec<u8>,
-        persistent: Vec<u8>,
-        meta: HashMap<u64, GranuleMeta>,
-        seq: u64,
-    ) -> Self {
-        PoolSnapshot {
-            volatile,
-            persistent: BaseImage::new(persistent),
-            meta,
-            seq,
-        }
-    }
-
-    /// Cache-visible bytes at checkpoint time.
-    #[must_use]
-    pub fn volatile(&self) -> &[u8] {
-        &self.volatile
-    }
-
-    /// Persistent bytes at checkpoint time.
-    #[must_use]
-    pub fn persistent(&self) -> &[u8] {
-        &self.persistent.bytes
-    }
-
-    /// Shared persistent base (restored pools remember it for delta restore
-    /// and COW crash-image capture).
-    pub(crate) fn base(&self) -> &Arc<BaseImage> {
-        &self.persistent
-    }
-
-    /// Identity of the persistent base image.
-    #[must_use]
-    pub fn base_id(&self) -> u64 {
-        self.persistent.id
-    }
-
-    /// Granule metadata at checkpoint time.
-    #[must_use]
-    pub fn meta(&self) -> &HashMap<u64, GranuleMeta> {
-        &self.meta
-    }
-
-    /// Store sequence counter at checkpoint time.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,6 @@
 //! Concurrency stress tests for the sharded pool: parallel stores on
 //! disjoint cache lines must persist correctly, and whole-image operations
-//! (`crash_image`, `snapshot`) must stay linearizable while stores are in
-//! flight.
+//! (`crash_image`) must stay linearizable while stores are in flight.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -88,8 +87,6 @@ fn crash_image_is_consistent_under_concurrent_writers() {
         s.spawn(move || {
             for _ in 0..40 {
                 let image = pool.crash_image().unwrap();
-                let snap = pool.snapshot();
-                assert_eq!(snap.volatile().len(), image.bytes().len());
                 for t in 0..4u64 {
                     for line in 0..8 {
                         let off = thread_off(t, line);

@@ -69,9 +69,6 @@ enum Life {
     Restore,
     /// Reset to a dense copy of the latest capture (a base of its own).
     RestoreDense,
-    /// Restore a snapshot of the pool (it then sits on the snapshot's base
-    /// in the non-clean state).
-    Snapshot,
 }
 
 fn life_strategy() -> impl Strategy<Value = Life> {
@@ -79,18 +76,17 @@ fn life_strategy() -> impl Strategy<Value = Life> {
         op_strategy().prop_map(Life::Pm),
         op_strategy().prop_map(Life::Pm),
         op_strategy().prop_map(Life::Pm),
-        (0u8..4).prop_map(|k| match k {
+        (0u8..3).prop_map(|k| match k {
             0 => Life::Capture,
             1 => Life::Restore,
-            2 => Life::RestoreDense,
-            _ => Life::Snapshot,
+            _ => Life::RestoreDense,
         }),
     ]
 }
 
 /// Everything observable about a pool: per granule its load value,
 /// `LoadInfo` and metadata, then its crash image (bytes and cache key),
-/// snapshot, store counter and unpersisted count.
+/// store counter and unpersisted count.
 fn assert_observably_equal(pool: &Pool, reference: &Pool) -> Result<(), TestCaseError> {
     for off in (0..POOL as u64).step_by(8) {
         prop_assert_eq!(
@@ -105,11 +101,6 @@ fn assert_observably_equal(pool: &Pool, reference: &Pool) -> Result<(), TestCase
     );
     prop_assert_eq!(img.bytes(), want.bytes());
     prop_assert_eq!(img.cache_key(), want.cache_key());
-    let (snap, want) = (pool.snapshot(), reference.snapshot());
-    prop_assert_eq!(snap.volatile(), want.volatile());
-    prop_assert_eq!(snap.persistent(), want.persistent());
-    prop_assert_eq!(snap.meta(), want.meta());
-    prop_assert_eq!(snap.seq(), want.seq());
     prop_assert_eq!(pool.store_seq(), reference.store_seq());
     prop_assert_eq!(
         pool.unpersisted_granules(),
@@ -188,10 +179,9 @@ proptest! {
     /// Resetting a used pool to `CrashImage::formatted` leaves it
     /// observably equal to `Pool::new` (the reference), both right after
     /// the reset and after the same further instructions on each. The
-    /// life before the reset mixes PM instructions with crash-image and
-    /// snapshot resets, so the formatted reset runs from the all-zero base
-    /// (delta path), from a dense image's base and from a snapshot's base
-    /// (full path).
+    /// life before the reset mixes PM instructions with crash-image resets,
+    /// so the formatted reset runs from the all-zero base (delta path) and
+    /// from a dense image's base (full path).
     #[test]
     fn formatted_reset_equals_a_new_pool(life in prop::collection::vec(life_strategy(), 1..80),
                                          tail in prop::collection::vec(op_strategy(), 0..20)) {
@@ -210,7 +200,6 @@ proptest! {
                     let dense = CrashImage::from_bytes(latest.bytes().to_vec());
                     pool.restore_crash_image(&dense).unwrap();
                 }
-                Life::Snapshot => pool.restore(&pool.snapshot()).unwrap(),
             }
         }
         pool.restore_crash_image(&CrashImage::formatted(POOL)).unwrap();

@@ -538,7 +538,7 @@ impl SessionTables {
 /// A campaign loop recycles its sessions: [`Session::retire`] takes the
 /// tables back from a finished session that nothing else holds, and
 /// [`Session::recycle`] resets them for the next campaign in O(touched),
-/// the way `Pool::restore_delta` resets a pool.
+/// the way `Pool::restore_crash_image` resets a pool in O(dirty).
 pub struct Session {
     pool: Arc<Pool>,
     cfg: SessionConfig,

@@ -63,6 +63,20 @@ fn plugin_resolves_by_name_with_its_grammar() {
         .any(|s| s.name == "mpsc-queue"));
 }
 
+/// The plugin's `init` persists everything it stores, so it gets a
+/// checkpoint, and its recovery path reopens the checkpoint's pool.
+#[test]
+fn plugin_creates_a_checkpoint() {
+    register();
+    let spec = pmrace::resolve_target("mpsc-queue").unwrap();
+    let cp = pmrace::core::checkpoint::Checkpoint::create(&spec).expect("checkpoint");
+    let session = pmrace::Session::new(cp.acquire(), pmrace::SessionConfig::default());
+    let target = (spec.recover)(&session).expect("recovery opens the checkpoint");
+    let view = session.view(pmrace::pmem::ThreadId(0));
+    let op = Op::Insert { key: 1, value: 2 };
+    assert!(target.exec(&view, &op).is_ok());
+}
+
 /// Both planted bugs are detected by a direct campaign and survive
 /// post-failure validation: recovery rewinds the cursors but never heals
 /// the durable log cells. Delay injection overlaps the consumer with the

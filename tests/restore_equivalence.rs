@@ -1,8 +1,7 @@
-//! Equivalence contracts of the O(dirty) outer loop: the delta restore,
-//! copy-on-write crash-image and crash-image reset paths must be
-//! observationally identical to the full-copy paths they replace — same
-//! volatile and persistent images, same granule metadata, same captured
-//! crash state — for any workload.
+//! Equivalence contracts of the O(dirty) outer loop: the copy-on-write
+//! crash-image and delta reset paths must be observationally identical to
+//! the full-copy paths they replace — same volatile and persistent images,
+//! same granule metadata, same captured crash state — for any workload.
 
 use std::sync::Arc;
 
@@ -17,126 +16,39 @@ use rand::{Rng, SeedableRng};
 const T0: ThreadId = ThreadId(0);
 const TAG: SiteTag = SiteTag(1);
 
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
+/// The reference for the captures of `p`, which was just built or reset
+/// (its two images are equal): a pool holding the same bytes whose first
+/// three quarters are rewritten with themselves by one non-temporal store.
+/// That changes no byte but stamps over half the pool, so every later
+/// capture from the twin takes the dense path. Driven by the same
+/// operations as `p`, its captures are independent dense references for
+/// `p`'s copy-on-write ones.
+fn dense_twin(p: &Pool) -> Pool {
+    let mut bytes = vec![0u8; p.size()];
+    p.load(0, &mut bytes).unwrap();
+    let twin = Pool::from_crash_image(&CrashImage::from_bytes(bytes.clone())).unwrap();
+    twin.ntstore(0, &bytes[..p.size() * 3 / 4], T0, TAG)
+        .unwrap();
+    twin
 }
 
-/// A pseudo-random but fully deterministic campaign-shaped workload: a mix
-/// of stores, non-temporal stores, flushes, and fences from four threads.
-fn apply_workload(p: &Pool, round: u64) {
-    let mut s = 0x5eed ^ round;
-    let granules = p.size() as u64 / 8;
-    for _ in 0..200 {
-        let r = lcg(&mut s);
-        let off = (r % granules) * 8;
-        let t = ThreadId((r >> 8) as u32 % 4);
-        let tag = SiteTag((r % 100) as u32 + 1);
-        match r % 5 {
-            0 | 1 => {
-                p.store_u64(off, r, t, tag).unwrap();
-            }
-            2 => {
-                p.ntstore_u64(off, r, t, tag).unwrap();
-            }
-            3 => {
-                p.store_u64(off, r, t, tag).unwrap();
-                p.clwb(off, 8, t).unwrap();
-            }
-            _ => p.sfence(t).unwrap(),
-        }
+/// A capture of `p`: `crash_image()`, or `crash_image_persisting(ranges)`.
+fn capture(p: &Pool, ranges: &[(u64, usize)]) -> CrashImage {
+    if ranges.is_empty() {
+        p.crash_image().unwrap()
+    } else {
+        p.crash_image_persisting(ranges).unwrap()
     }
-    p.persist(0, 64, T0).unwrap();
-}
-
-/// Full observable-state comparison: persistent image, volatile image, and
-/// per-granule metadata (state, writer, tag, sequence), plus the derived
-/// views campaigns consume.
-fn assert_pools_identical(a: &Pool, b: &Pool, when: &str) {
-    assert_eq!(a.size(), b.size());
-    assert_eq!(
-        a.crash_image().unwrap(),
-        b.crash_image().unwrap(),
-        "persistent images differ {when}"
-    );
-    for off in (0..a.size() as u64).step_by(8) {
-        // The tail granule of an odd-sized pool is partial.
-        let n = 8.min(a.size() - off as usize);
-        let (mut wa, mut wb) = ([0u8; 8], [0u8; 8]);
-        a.load(off, &mut wa[..n]).unwrap();
-        b.load(off, &mut wb[..n]).unwrap();
-        assert_eq!(wa, wb, "volatile word at {off} differs {when}");
-        assert_eq!(
-            a.meta_at(off),
-            b.meta_at(off),
-            "granule meta at {off} differs {when}"
-        );
-    }
-    assert_eq!(
-        a.unpersisted_regions(),
-        b.unpersisted_regions(),
-        "unpersisted regions differ {when}"
-    );
-    assert_eq!(a.store_seq(), b.store_seq(), "store seq differs {when}");
-}
-
-#[test]
-fn restore_delta_is_byte_identical_to_full_restore() {
-    let src = Pool::new(PoolOpts::with_size(1 << 16));
-    for k in 0..64u64 {
-        src.ntstore_u64(k * 72, k + 1, T0, TAG).unwrap();
-    }
-    let snap = src.snapshot();
-    let full = Pool::new(PoolOpts::with_size(src.size()));
-    full.restore(&snap).unwrap();
-    let delta = Pool::new(PoolOpts::with_size(src.size()));
-    delta.restore(&snap).unwrap();
-
-    for round in 0..6u64 {
-        apply_workload(&full, round);
-        apply_workload(&delta, round);
-        assert_pools_identical(&full, &delta, "after identical workloads");
-        full.restore(&snap).unwrap();
-        let mode = delta.restore_delta(&snap, usize::MAX).unwrap();
-        assert!(
-            matches!(mode, RestoreMode::Delta { granules } if granules > 0),
-            "round {round}: expected the delta path, got {mode:?}"
-        );
-        assert_pools_identical(&full, &delta, "after full vs delta restore");
-    }
-
-    // The threshold fallback (dirty set too large for delta) must be just
-    // as invisible.
-    apply_workload(&full, 99);
-    apply_workload(&delta, 99);
-    full.restore(&snap).unwrap();
-    assert_eq!(delta.restore_delta(&snap, 0).unwrap(), RestoreMode::Full);
-    assert_pools_identical(&full, &delta, "after threshold fallback");
-}
-
-/// Dense reference for a capture taken right now, built without the
-/// overlay path: the snapshot's persistent bytes with `ranges` patched
-/// from its volatile bytes.
-fn dense_reference(pool: &Pool, ranges: &[(u64, usize)]) -> Vec<u8> {
-    let snap = pool.snapshot();
-    let mut bytes = snap.persistent().to_vec();
-    for &(off, len) in ranges {
-        let r = off as usize..off as usize + len;
-        bytes[r.clone()].copy_from_slice(&snap.volatile()[r]);
-    }
-    bytes
 }
 
 #[test]
 fn cow_crash_images_match_eager_captures_through_the_session() {
-    // Identical starting state built two ways: `cow` is restored from a
-    // snapshot (so captures overlay the snapshot's base), `eager` never
-    // met a snapshot (so captures overlay the all-zero base of a new
-    // pool). The same instrumented workload must produce byte-identical
-    // crash images at every capture point, each equal to a dense copy of
-    // the persistent image taken at the same point.
+    // Identical starting state built two ways: `cow` is reset to a
+    // checkpoint-like dense image (so captures overlay that image's base),
+    // `eager` never met one (so captures overlay the all-zero base of a
+    // new pool). The same instrumented workload must produce
+    // byte-identical crash images at every capture point, each equal to
+    // the dense capture of a twin taken at the same point.
     let init = |p: &Pool| {
         for k in 0..32u64 {
             p.ntstore_u64(4096 + k * 8, k + 1, T0, TAG).unwrap();
@@ -144,13 +56,15 @@ fn cow_crash_images_match_eager_captures_through_the_session() {
     };
     let src = Pool::new(PoolOpts::with_size(1 << 16));
     init(&src);
-    let snap = src.snapshot();
-    let cow = Arc::new(Pool::new(PoolOpts::with_size(src.size())));
-    cow.restore(&snap).unwrap();
+    // Only non-temporal stores: the volatile image is the persistent one.
+    let mut bytes = vec![0u8; src.size()];
+    src.load(0, &mut bytes).unwrap();
+    let cow = Arc::new(Pool::from_crash_image(&CrashImage::from_bytes(bytes)).unwrap());
     let eager = Arc::new(Pool::new(PoolOpts::with_size(src.size())));
     init(&eager);
+    let (cow_twin, eager_twin) = (Arc::new(dense_twin(&cow)), Arc::new(dense_twin(&eager)));
 
-    let run = |pool: &Arc<Pool>| -> Vec<(CrashImage, CrashImage)> {
+    let run = |pool: &Arc<Pool>| -> Vec<CrashImage> {
         let session = Session::new(Arc::clone(pool), SessionConfig::default());
         let a = session.view(ThreadId(0));
         let b = session.view(ThreadId(1));
@@ -165,24 +79,30 @@ fn cow_crash_images_match_eager_captures_through_the_session() {
                 2 => a.clwb(off, 8, site!("equiv.flush")).unwrap(),
                 _ => a.sfence().unwrap(),
             }
-            let dense = CrashImage::from_bytes(dense_reference(pool, &[]));
-            images.push((pool.crash_image().unwrap(), dense));
+            images.push(pool.crash_image().unwrap());
         }
         images
     };
 
-    let cow_images = run(&cow);
-    let eager_images = run(&eager);
+    let (cow_images, eager_images) = (run(&cow), run(&eager));
+    let (cow_dense, eager_dense) = (run(&cow_twin), run(&eager_twin));
     assert_eq!(cow_images.len(), eager_images.len());
-    for (i, ((c, c_dense), (e, e_dense))) in cow_images.iter().zip(&eager_images).enumerate() {
+    for (i, (c, e)) in cow_images.iter().zip(&eager_images).enumerate() {
         assert_eq!(c, e, "crash image at capture point {i} diverged");
-        assert_eq!(c, c_dense, "restored pool's capture {i} != dense copy");
-        assert_eq!(e, e_dense, "new pool's capture {i} != dense copy");
-        assert_eq!(e_dense.overlay_bytes(), 0, "the reference is dense");
+        assert_eq!(
+            c, &cow_dense[i],
+            "reset pool's capture {i} != dense capture"
+        );
+        assert_eq!(
+            e, &eager_dense[i],
+            "new pool's capture {i} != dense capture"
+        );
+        assert_eq!(cow_dense[i].overlay_bytes(), 0, "the reference is dense");
+        assert_eq!(eager_dense[i].overlay_bytes(), 0, "the reference is dense");
     }
-    for (name, images) in [("restored", &cow_images), ("new", &eager_images)] {
+    for (name, images) in [("reset", &cow_images), ("new", &eager_images)] {
         assert!(
-            images.iter().any(|(c, _)| c.overlay_bytes() > 0),
+            images.iter().any(|c| c.overlay_bytes() > 0),
             "{name} pool never took the copy-on-write capture path"
         );
     }
@@ -241,20 +161,24 @@ fn random_ranges(size: u64, rng: &mut StdRng) -> Vec<(u64, usize)> {
         .collect()
 }
 
-/// Run `ops` random operations on `p`, capturing `crash_image()` or
-/// `crash_image_persisting()` at random points; each capture is paired
-/// with its dense reference.
-fn capture_run(p: &Pool, ops: usize, rng: &mut StdRng, out: &mut Vec<(CrashImage, Vec<u8>)>) {
+/// Run `ops` random operations on `p` and on its dense twin, capturing
+/// `crash_image()` or `crash_image_persisting()` at random points; each
+/// capture of `p` is paired with the twin's dense capture's bytes.
+fn capture_run(
+    p: &Pool,
+    twin: &Pool,
+    ops: usize,
+    rng: &mut StdRng,
+    out: &mut Vec<(CrashImage, Vec<u8>)>,
+) {
     for _ in 0..ops {
+        random_op(twin, &mut rng.clone());
         random_op(p, rng);
         if rng.random_ratio(1, 6) {
             let ranges = random_ranges(p.size() as u64, rng);
-            let img = if ranges.is_empty() {
-                p.crash_image().unwrap()
-            } else {
-                p.crash_image_persisting(&ranges).unwrap()
-            };
-            out.push((img, dense_reference(p, &ranges)));
+            let dense = capture(twin, &ranges);
+            assert_eq!(dense.overlay_bytes(), 0, "the reference is dense");
+            out.push((capture(p, &ranges), dense.bytes().to_vec()));
         }
     }
 }
@@ -295,20 +219,29 @@ fn crash_image_resets_match_an_independent_oracle() {
         // Captures over the all-zero base of a new pool (the delta path
         // for a reset pool on the same base)...
         let fresh = Pool::new(PoolOpts::with_size(size));
-        capture_run(&fresh, 300, &mut rng, &mut images);
-        // ...over a checkpoint's base (full on the first reset, then
-        // delta)...
+        capture_run(&fresh, &dense_twin(&fresh), 300, &mut rng, &mut images);
+        // ...over a checkpoint's base, a dense image of its own (full on
+        // the first reset, then delta)...
         let src = Pool::new(PoolOpts::with_size(size));
-        capture_run(&src, 100, &mut rng, &mut images);
-        let snap = src.snapshot();
-        let restored = Pool::new(PoolOpts::with_size(size));
-        restored.restore(&snap).unwrap();
-        capture_run(&restored, 300, &mut rng, &mut images);
+        let src_twin = dense_twin(&src);
+        capture_run(&src, &src_twin, 100, &mut rng, &mut images);
+        let checkpoint = CrashImage::from_bytes(src_twin.crash_image().unwrap().bytes().to_vec());
+        let restored = Pool::from_crash_image(&checkpoint).unwrap();
+        capture_run(
+            &restored,
+            &dense_twin(&restored),
+            300,
+            &mut rng,
+            &mut images,
+        );
         // ...dense captures past half the pool, and foreign dense bases.
         let wide = Pool::new(PoolOpts::with_size(size));
-        wide.store(0, &vec![0x5A; size * 3 / 4], ThreadId(0), SiteTag(1))
-            .unwrap();
-        capture_run(&wide, 60, &mut rng, &mut images);
+        let wide_twin = dense_twin(&wide);
+        for p in [&wide, &wide_twin] {
+            p.store(0, &vec![0x5A; size * 3 / 4], ThreadId(0), SiteTag(1))
+                .unwrap();
+        }
+        capture_run(&wide, &wide_twin, 60, &mut rng, &mut images);
         let foreign: Vec<_> = images
             .iter()
             .step_by(7)
@@ -323,20 +256,17 @@ fn crash_image_resets_match_an_independent_oracle() {
         }
 
         // Fisher-Yates shuffle, then reset one long-lived pool to every
-        // image, dirtying it between resets and sometimes restoring it
-        // from the checkpoint, whose base some images share but whose
-        // volatile image and metadata differ from it.
+        // image, dirtying it between resets and sometimes resetting it to
+        // the checkpoint, whose base some images share.
         for i in (1..images.len()).rev() {
             images.swap(i, rng.random_range(0..=i));
         }
         let pool = Pool::new(PoolOpts::with_size(size));
-        let checkpoint = Pool::new(PoolOpts::with_size(size));
-        checkpoint.restore(&snap).unwrap();
         let (mut delta, mut full) = (0, 0);
         for (i, (img, bytes)) in images.iter().enumerate() {
             if rng.random_ratio(1, 5) {
-                pool.restore_delta(&snap, usize::MAX).unwrap();
-                assert_pools_identical(&pool, &checkpoint, "after a checkpoint restore");
+                pool.restore_crash_image(&checkpoint).unwrap();
+                assert_reset_to(&pool, checkpoint.bytes(), "after a checkpoint reset");
             }
             for _ in 0..rng.random_range(0..40u32) {
                 random_op(&pool, &mut rng);
