@@ -31,7 +31,7 @@ use pmrace_runtime::coverage::CoverageMap;
 use pmrace_runtime::report::Findings;
 use pmrace_runtime::session::SharedAccesses;
 use pmrace_runtime::strategy::InterleaveStrategy;
-use pmrace_runtime::{RtError, Session, SessionConfig, SessionTables};
+use pmrace_runtime::{HangCause, RtError, Session, SessionConfig, SessionTables};
 use pmrace_telemetry as telemetry;
 
 use crate::checkpoint::Checkpoint;
@@ -259,6 +259,9 @@ pub fn run_campaign(
         state: Mutex::new((driver_count, None)),
         done: Condvar::new(),
     });
+    for t in 0..driver_count {
+        session.enlist(ThreadId(t as u32));
+    }
     DRIVERS.with(|pool| {
         let mut pool = pool.borrow_mut();
         pool.ensure(driver_count);
@@ -336,6 +339,7 @@ pub fn run_campaign(
     let shared = session.shared_accesses();
     let annotations = session.annotation_count();
     let pm_accesses = session.pm_accesses();
+    let hang_cause = session.hang_cause();
     let findings = session.finish();
     // The drivers let go of the session before the barrier opened; with
     // the target gone too, nothing else holds it unless a target or a
@@ -348,6 +352,15 @@ pub fn run_campaign(
         telemetry::add(telemetry::Counter::ExecCampaigns, 1);
         if findings.hang {
             telemetry::add(telemetry::Counter::ExecHangs, 1);
+        }
+        match hang_cause {
+            Some(HangCause::AllWaiting) => {
+                telemetry::add(telemetry::Counter::ExecHangsAllWaiting, 1);
+            }
+            Some(HangCause::SpinBudget) => {
+                telemetry::add(telemetry::Counter::ExecHangsSpinBudget, 1);
+            }
+            Some(HangCause::Deadline) | None => {}
         }
         let errs = op_errors.load(Ordering::Relaxed);
         if errs > 0 {
@@ -404,6 +417,9 @@ fn start_pool(spec: &TargetSpec, cfg: &CampaignConfig, start: PoolStart<'_>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmrace_api::OpResult;
+    use pmrace_pmem::PoolOpts;
+    use pmrace_runtime::{site, PmView};
     use pmrace_targets::{target_spec, Op};
 
     fn insert_seed(threads: usize) -> Seed {
@@ -480,10 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn hang_bug_is_reported_via_deadline() {
+    fn leaked_lock_hang_is_judged_by_the_all_waiting_rule() {
         let spec = target_spec("P-CLHT").unwrap();
         // An idempotent update leaks the bucket lock (bug 5); the next op
-        // on the same bucket hangs until the deadline.
+        // on the same bucket waits on it, and it is the only driver.
         let ops = vec![
             Op::Insert { key: 1, value: 1 },
             Op::Update { key: 1, value: 1 },
@@ -492,12 +508,78 @@ mod tests {
         let seed = Seed::new(vec![ops]);
         let cfg = CampaignConfig {
             threads: 1,
-            deadline: Duration::from_millis(150),
+            deadline: Duration::from_secs(3600),
             ..CampaignConfig::default()
         };
+        telemetry::set_enabled(true);
+        let judged = || telemetry::metrics::counter(telemetry::Counter::ExecHangsAllWaiting);
+        let before = judged();
         let res = run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
         assert!(res.findings.hang, "leaked lock must surface as a hang");
         assert!(res.op_errors >= 1);
+        assert!(
+            judged() > before,
+            "the all-waiting rule did not judge the hang"
+        );
+    }
+
+    #[test]
+    fn a_driver_whose_job_has_not_started_blocks_the_rule() {
+        // A toy lock, held when the campaign starts: `insert` waits for it
+        // and takes it, `delete` releases it, `get` does nothing. Thread 0
+        // waits at once, and only the last of eight drivers releases the
+        // lock, so thread 0 often waits before that driver's job has begun.
+        // It still counts as live, since it was enlisted before any job ran:
+        // the all-waiting rule never judges such a campaign hung. (The
+        // yield-credit latch can, when a loaded host keeps the last driver
+        // off the CPU for milliseconds; that is not what is tested here.)
+        static RULE_VERDICTS: AtomicUsize = AtomicUsize::new(0);
+        struct Handoff;
+        impl pmrace_api::Target for Handoff {
+            fn name(&self) -> &'static str {
+                "handoff"
+            }
+            fn exec(&self, view: &PmView, op: &Op) -> Result<OpResult, RtError> {
+                match op {
+                    Op::Insert { .. } => view
+                        .spin_until(|| {
+                            let (taken, _) = view.cas_u64(64u64, 0, 1, site!("handoff.take"))?;
+                            Ok(taken.then_some(()))
+                        })
+                        .inspect_err(|_| {
+                            if view.session().hang_cause() == Some(HangCause::AllWaiting) {
+                                RULE_VERDICTS.fetch_add(1, Ordering::Relaxed);
+                            }
+                        })?,
+                    Op::Delete { .. } => view.ntstore_u64(64u64, 0u64, site!("handoff.release"))?,
+                    _ => {}
+                }
+                Ok(OpResult::Done)
+            }
+        }
+        fn init(session: &Arc<Session>) -> Result<Arc<dyn pmrace_api::Target>, RtError> {
+            let view = session.view(ThreadId(0));
+            view.ntstore_u64(64u64, 1u64, site!("handoff.held"))?;
+            Ok(Arc::new(Handoff))
+        }
+        let spec = TargetSpec::new("handoff", init, init, PoolOpts::small);
+        let mut threads = vec![vec![Op::Insert { key: 1, value: 1 }]];
+        threads.extend((0..6).map(|_| vec![Op::Get { key: 1 }]));
+        threads.push(vec![Op::Delete { key: 1 }]);
+        let seed = Seed::new(threads);
+        let cfg = CampaignConfig {
+            threads: 8,
+            deadline: Duration::from_secs(3600),
+            ..CampaignConfig::default()
+        };
+        for round in 0..300 {
+            run_campaign(&spec, &seed, &cfg, None, PoolStart::Spare).unwrap();
+            assert_eq!(
+                RULE_VERDICTS.load(Ordering::Relaxed),
+                0,
+                "round {round}: the rule judged a live driver's lock leaked"
+            );
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod strategy;
 pub mod taint;
 pub mod trace;
 pub mod view;
+pub mod wait;
 pub mod whitelist;
 
 mod batch;
@@ -53,6 +54,7 @@ pub use session::{Session, SessionConfig, SessionTables, SyncVarAnnotation};
 pub use site::{site_by_label, site_label, site_location, Site};
 pub use taint::{TBytes, TaintSet, TU64};
 pub use view::PmView;
+pub use wait::HangCause;
 
 // Macro support: `site!` expands to a call of this re-exported function.
 #[doc(hidden)]

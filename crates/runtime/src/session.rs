@@ -40,7 +40,7 @@
 //! statistics; detection state is write-through and needs no flush.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -58,6 +58,7 @@ use crate::report::{
 use crate::strategy::{InterleaveStrategy, NoopStrategy};
 use crate::taint::TaintSet;
 use crate::trace::{TraceBuffers, TraceKind};
+use crate::wait::{HangCause, WaitHub};
 use crate::whitelist::Whitelist;
 use crate::{site_label, PmView, RtError, Site};
 
@@ -94,11 +95,14 @@ pub struct SessionConfig {
     pub trace_depth: usize,
     /// Consecutive [`PmView::spin_yield`] calls that may observe a frozen
     /// session-wide mutation counter before the spinner declares a livelock
-    /// and latches the hang flag. Catches leaked-lock hang bugs in
-    /// milliseconds instead of burning the whole `deadline` (which remains
-    /// the wall-clock backstop). `0` disables early detection.
+    /// and latches the hang flag (the yield-credit latch, a few ms at the
+    /// default). It is the backstop for the hangs the all-waiting rule of
+    /// [`PmView::spin_until`] cannot decide: a lock holder parked by a
+    /// strategy or blocked in an OS mutex. `0` disables this latch only;
+    /// the all-waiting rule and the wall-clock `deadline` stay.
     ///
     /// [`PmView::spin_yield`]: crate::PmView::spin_yield
+    /// [`PmView::spin_until`]: crate::PmView::spin_until
     pub livelock_spins: u32,
 }
 
@@ -561,13 +565,15 @@ pub struct Session {
     has_checkers: AtomicBool,
     has_annotations: AtomicBool,
     halted: AtomicBool,
-    /// Deadline-expired latch; also strided-sample state for [`Session::check`].
-    hang: AtomicBool,
+    /// Hang latch: 0 while running, else the [`HangCause`] code of the
+    /// exit that judged the campaign hung (the first one wins).
+    hang: AtomicU8,
     check_ctr: AtomicU32,
     /// Mutation counter: bumped once per store (plain, non-temporal, or the
-    /// store half of a successful CAS). [`PmView::spin_yield`] samples it to
-    /// tell a contended-but-live lock from a leaked one — a spin loop that
-    /// keeps seeing the same value is making no one any progress.
+    /// store half of a successful CAS). [`PmView::spin_yield`]'s
+    /// yield-credit latch samples it to tell a contended-but-live lock from
+    /// a leaked one — a spin loop that keeps seeing the same value is
+    /// making no one any progress.
     ///
     /// [`PmView::spin_yield`]: crate::PmView::spin_yield
     progress: AtomicU64,
@@ -579,6 +585,8 @@ pub struct Session {
     /// per buffer and refresh when the generation moves (starts at 1 so a
     /// fresh buffer's generation 0 always misses).
     strategy_gen: AtomicU64,
+    /// Who waits in [`PmView::spin_until`] (the all-waiting hang rule).
+    waits: WaitHub,
 }
 
 impl std::fmt::Debug for Session {
@@ -636,6 +644,7 @@ impl Session {
             pm_events: _,
             taint_filter: _,
             strategy_gen: _,
+            waits: _,
         } = Arc::into_inner(this)?;
         Some(SessionTables {
             coverage,
@@ -671,12 +680,13 @@ impl Session {
             has_checkers: AtomicBool::new(false),
             has_annotations: AtomicBool::new(false),
             halted: AtomicBool::new(false),
-            hang: AtomicBool::new(false),
+            hang: AtomicU8::new(0),
             check_ctr: AtomicU32::new(0),
             progress: AtomicU64::new(0),
             pm_events: Default::default(),
             taint_filter: TaintFilter::new(),
             strategy_gen: AtomicU64::new(1),
+            waits: WaitHub::default(),
         })
     }
 
@@ -742,16 +752,32 @@ impl Session {
     /// owns its metadata buffer; dropping it (or [`PmView::flush`])
     /// publishes any still-batched statistics to this session.
     ///
+    /// The view [enlists](Session::enlist) `tid`.
+    ///
     /// # Panics
     ///
     /// When `tid` is [`MAX_THREADS`] or more.
     #[must_use]
     pub fn view(self: &Arc<Self>, tid: ThreadId) -> PmView {
+        self.enlist(tid);
+        PmView::new(Arc::clone(self), tid)
+    }
+
+    /// Count `tid` as a live driver for the all-waiting hang rule
+    /// ([`crate::wait`]) from now until its [`Session::thread_done`]. A
+    /// campaign enlists every driver before the first one runs: a driver
+    /// whose job has not started yet may still release the lock its peers
+    /// wait on.
+    ///
+    /// # Panics
+    ///
+    /// When `tid` is [`MAX_THREADS`] or more.
+    pub fn enlist(&self, tid: ThreadId) {
         assert!(
             (tid.0 as usize) < MAX_THREADS,
             "{tid} exceeds the session's {MAX_THREADS} driver threads"
         );
-        PmView::new(Arc::clone(self), tid)
+        self.waits.add_driver(tid);
     }
 
     /// Abort the campaign: all threads fail their next [`PmView::check`].
@@ -798,11 +824,11 @@ impl Session {
         if self.halted.load(Ordering::Relaxed) {
             return Err(RtError::Halted);
         }
-        if self.hang.load(Ordering::Relaxed) {
+        if self.hang.load(Ordering::Relaxed) != 0 {
             return Err(RtError::Timeout);
         }
         if sample_clock && self.start.elapsed() >= self.cfg.deadline {
-            self.hang.store(true, Ordering::Relaxed);
+            self.latch_hang(HangCause::Deadline);
             return Err(RtError::Timeout);
         }
         Ok(())
@@ -814,9 +840,22 @@ impl Session {
     }
 
     /// Latches the hang flag so every thread's next check fails with
-    /// [`RtError::Timeout`] — the spin-loop livelock detector's exit.
-    pub(crate) fn latch_hang(&self) {
-        self.hang.store(true, Ordering::Relaxed);
+    /// [`RtError::Timeout`]. The first cause latched is the one reported.
+    pub(crate) fn latch_hang(&self, cause: HangCause) {
+        let _ = self
+            .hang
+            .compare_exchange(0, cause.code(), Ordering::Relaxed, Ordering::Relaxed);
+    }
+
+    /// Which exit judged the campaign hung, `None` while it is not.
+    #[must_use]
+    pub fn hang_cause(&self) -> Option<HangCause> {
+        HangCause::from_code(self.hang.load(Ordering::Relaxed))
+    }
+
+    /// The all-waiting hang rule's record of who waits.
+    pub(crate) fn waits(&self) -> &WaitHub {
+        &self.waits
     }
 
     /// Time since session creation.
@@ -991,8 +1030,10 @@ impl Session {
     }
 
     /// Notify the strategy that a driver thread finished its operation
-    /// sequence (feeds the scheduler's live-thread accounting).
+    /// sequence (feeds the scheduler's live-thread accounting), and stop
+    /// counting it as live for the all-waiting hang rule.
     pub fn thread_done(&self, tid: ThreadId) {
+        self.waits.driver_done(tid);
         self.strategy().thread_done(tid);
     }
 
@@ -1508,7 +1549,7 @@ impl Session {
             inconsistencies: std::mem::take(&mut reports.inconsistencies),
             sync_updates: std::mem::take(&mut reports.sync_updates),
             perf_issues: std::mem::take(&mut reports.perf_issues),
-            hang: self.hang.load(Ordering::Relaxed),
+            hang: self.hang.load(Ordering::Relaxed) != 0,
         }
     }
 }

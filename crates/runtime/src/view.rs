@@ -10,6 +10,7 @@ use crate::batch::ThreadBuffer;
 use crate::session::LoadKind;
 use crate::strategy::{AccessCtx, InterleaveStrategy};
 use crate::taint::{TBytes, TaintSet, TU64};
+use crate::wait::HangCause;
 use crate::{RtError, Session, Site};
 
 /// Per-thread instrumented handle over the session's pool.
@@ -52,6 +53,10 @@ pub struct PmView {
     /// hang early instead of spinning out the wall-clock deadline.
     spin_progress: Cell<u64>,
     spin_streak: Cell<u32>,
+    /// Stores made through this view, for [`PmView::spin_until`]'s check
+    /// that a failed attempt stored nothing.
+    #[cfg(debug_assertions)]
+    stores: Cell<u64>,
 }
 
 /// Sentinel for `cas_fail_site`: no failed CAS outstanding.
@@ -73,7 +78,9 @@ const SPIN_PARK_AFTER: u32 = 128;
 /// lock holder parked at a sync point (two reports after its park), so
 /// long parks are left to waits nothing else can shorten: a long critical
 /// section, a thread that cannot be drafted while another still runs, or
-/// a leaked lock until the livelock latch fires (a few ms). At this
+/// a leaked lock the all-waiting rule cannot judge (its holder parked by a
+/// strategy or blocked in an OS mutex) until the yield-credit latch fires
+/// (a few ms). At this
 /// quantum such a wait costs a few sleep syscalls per millisecond rather
 /// than ~25 at 40 µs: each `nanosleep` costs a few µs of kernel time, and
 /// under the fleet that overhead was a measurable slice of per-campaign
@@ -101,6 +108,8 @@ impl PmView {
             cas_fail_streak: Cell::new(0),
             spin_progress: Cell::new(0),
             spin_streak: Cell::new(0),
+            #[cfg(debug_assertions)]
+            stores: Cell::new(0),
         }
     }
 
@@ -162,7 +171,10 @@ impl PmView {
     /// never going to be released (a leaked-lock hang bug) and the hang flag
     /// is latched immediately rather than after the full wall-clock
     /// deadline. The bug report is identical either way — only the time to
-    /// reach it changes.
+    /// reach it changes. This yield-credit latch is the backstop of the
+    /// all-waiting rule of [`PmView::spin_until`], which judges a leaked
+    /// lock at once but cannot decide a wait whose lock holder is parked by
+    /// a strategy or blocked in an OS mutex.
     ///
     /// The streak is meant to accumulate inside a *single* blocked
     /// operation; drivers call [`PmView::begin_op`] between operations so
@@ -197,7 +209,7 @@ impl PmView {
                 let n = self.spin_streak.get().saturating_add(step);
                 self.spin_streak.set(n);
                 if n >= limit {
-                    self.session.latch_hang();
+                    self.session.latch_hang(HangCause::SpinBudget);
                     return Err(RtError::Timeout);
                 }
                 if n >= SPIN_PARK_AFTER {
@@ -208,6 +220,63 @@ impl PmView {
         }
         std::thread::yield_now();
         Ok(())
+    }
+
+    /// Unbounded wait: run `attempt` until it returns `Ok(Some(v))`, with a
+    /// [`PmView::spin_yield`] step between failures (`Ok(None)`), and
+    /// return `v`.
+    ///
+    /// A failed attempt must change nothing another thread can observe: a
+    /// failed CAS or `try_lock`, plain loads (debug builds assert it made
+    /// no store through this view). While the thread waits, the session
+    /// knows it: once every live driver thread waits here and the latest
+    /// attempt of each failed after the newest wait entry or
+    /// [`Session::thread_done`], no attempt can ever succeed and the hang
+    /// latches at once (the all-waiting rule, see [`crate::wait`]), without
+    /// spending the `livelock_spins` budget of [`PmView::spin_yield`].
+    ///
+    /// Bounded retry loops, which give up by themselves, use plain
+    /// [`PmView::spin_yield`] instead: they can never be a hang.
+    ///
+    /// # Errors
+    ///
+    /// Errors of `attempt`, and [`RtError::Timeout`] or [`RtError::Halted`]
+    /// when the campaign hangs or stops while the thread waits.
+    pub fn spin_until<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<Option<T>, RtError>,
+    ) -> Result<T, RtError> {
+        if let Some(v) = self.try_attempt(&mut attempt)? {
+            return Ok(v);
+        }
+        let waiting = self.session.waits().enter(self.tid);
+        loop {
+            self.spin_yield()?;
+            let began = waiting.attempt_begins();
+            if let Some(v) = self.try_attempt(&mut attempt)? {
+                return Ok(v);
+            }
+            if waiting.attempt_failed(began) {
+                self.session.latch_hang(HangCause::AllWaiting);
+                return Err(RtError::Timeout);
+            }
+        }
+    }
+
+    /// One attempt of [`PmView::spin_until`].
+    fn try_attempt<T>(
+        &self,
+        attempt: &mut impl FnMut() -> Result<Option<T>, RtError>,
+    ) -> Result<Option<T>, RtError> {
+        #[cfg(debug_assertions)]
+        let stores = self.stores.get();
+        let out = attempt()?;
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            out.is_some() || self.stores.get() == stores,
+            "a failed spin_until attempt stored through its view"
+        );
+        Ok(out)
     }
 
     /// Operation boundary: the campaign driver calls this before each
@@ -356,6 +425,8 @@ impl PmView {
             non_temporal,
             info.state_before,
         );
+        #[cfg(debug_assertions)]
+        self.stores.set(self.stores.get() + 1);
         // Fires cond_signal and stalls the writer *before* its flush (§4.2.2).
         if active {
             self.cached_strategy(&mut buf).after_store(&ctx);
@@ -555,6 +626,8 @@ impl PmView {
                 false,
                 state_before,
             );
+            #[cfg(debug_assertions)]
+            self.stores.set(self.stores.get() + 1);
             if active {
                 self.cached_strategy(&mut buf).after_store(&ctx);
             }
@@ -980,6 +1053,18 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a failed spin_until attempt stored through its view")]
+    fn a_failed_attempt_that_stores_trips_the_debug_check() {
+        let s = session();
+        let v = s.view(ThreadId(0));
+        let _ = v.spin_until(|| {
+            v.store_u64(64u64, 1, site!("attempt.store"))?;
+            Ok(None::<()>)
+        });
+    }
+
+    #[test]
     fn livelock_spin_latches_hang_long_before_the_deadline() {
         // A leaked lock: the word stays 1 forever, so every CAS fails and no
         // store happens anywhere in the session. The spinner must give up
@@ -994,9 +1079,10 @@ mod tests {
                 ..SessionConfig::default()
             },
         );
+        // A hand-rolled retry loop, not a `spin_until` wait: only the
+        // credit latch can end it.
         let v = s.view(ThreadId(0));
         v.store_u64(64u64, 1, site!("lock.leak")).unwrap();
-        let started = std::time::Instant::now();
         let err = loop {
             let (ok, _) = v.cas_u64(64u64, 0, 1, site!("lock.acquire")).unwrap();
             assert!(!ok, "nobody releases this lock");
@@ -1005,10 +1091,7 @@ mod tests {
             }
         };
         assert_eq!(err, RtError::Timeout);
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(60),
-            "livelock detection must not wait for the deadline"
-        );
+        assert_eq!(s.hang_cause(), Some(HangCause::SpinBudget));
         drop(v);
         assert!(s.finish().hang, "early latch must still report a hang");
     }

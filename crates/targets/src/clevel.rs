@@ -179,23 +179,17 @@ impl Clevel {
         // of this code), so it waits for in-flight slots to drain.
         for slot in 0..lcap {
             let koff = last.clone() + slot * 16;
-            let k = loop {
+            let k = view.spin_until(|| {
                 let k = view.load_u64(koff.clone(), site!("clevel.expand.read_key"))?;
-                if !k.is_tainted() {
-                    break k;
-                }
-                view.spin_yield()?;
-            };
+                Ok((!k.is_tainted()).then_some(k))
+            })?;
             if k == 0u64 {
                 continue;
             }
-            let v = loop {
+            let v = view.spin_until(|| {
                 let v = view.load_u64(koff.clone() + 8u64, site!("clevel.expand.read_val"))?;
-                if !v.is_tainted() {
-                    break v;
-                }
-                view.spin_yield()?;
-            };
+                Ok((!v.is_tainted()).then_some(v))
+            })?;
             let mut placed = false;
             for (base, cap) in [(TU64::from(new_level), new_cap), (first.clone(), fcap)] {
                 let start = hash64(k.value()) % cap;

@@ -301,17 +301,13 @@ impl MemKv {
         Ok(())
     }
 
-    /// Take `cache_lock` by `try_lock` + [`PmView::spin_yield`], like the
-    /// PM spin locks of the other targets: a waiter stays visible to the
-    /// scheduler as spinning and to the livelock latch, instead of
-    /// sleeping in the OS where neither can see it.
+    /// Take `cache_lock` by `try_lock` in a [`PmView::spin_until`], like
+    /// the PM spin locks of the other targets: a waiter stays visible to
+    /// the scheduler as spinning and to the session's hang detection (a
+    /// lock nobody can release is a hang once every live driver thread
+    /// waits), instead of sleeping in the OS where neither can see it.
     fn lock_cache(&self, view: &PmView) -> Result<MutexGuard<'_, ()>, RtError> {
-        loop {
-            if let Some(guard) = self.cache_lock.try_lock() {
-                return Ok(guard);
-            }
-            view.spin_yield()?;
-        }
+        view.spin_until(|| Ok(self.cache_lock.try_lock()))
     }
 
     fn dir_append(&self, view: &PmView, off: u64) -> Result<(), RtError> {

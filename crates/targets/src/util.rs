@@ -18,26 +18,26 @@ pub fn hash64(key: u64) -> u64 {
 /// — the pattern that creates *PM Synchronization Inconsistency* (the lock
 /// survives a crash in locked state while the owning thread does not).
 ///
+/// The wait is a [`PmView::spin_until`] over the CAS: a failed CAS stores
+/// nothing.
+///
 /// # Errors
 ///
-/// [`RtError::Timeout`] when the campaign deadline fires while spinning —
-/// how seeded deadlock bugs surface as hangs.
+/// [`RtError::Timeout`] when the campaign hangs while this thread waits:
+/// at once when every live driver thread waits on a lock nobody can
+/// release (a leaked lock, how seeded deadlock bugs surface as hangs),
+/// else when the yield-credit budget or the deadline runs out.
 pub fn pm_lock_acquire(
     view: &PmView,
     off: u64,
     site: Site,
     persist_after: bool,
 ) -> Result<(), RtError> {
-    loop {
-        let (ok, _) = view.cas_u64(off, 0, 1, site)?;
-        if ok {
-            if persist_after {
-                view.persist(off, 8, site)?;
-            }
-            return Ok(());
-        }
-        view.spin_yield()?;
+    view.spin_until(|| Ok(view.cas_u64(off, 0, 1, site)?.0.then_some(())))?;
+    if persist_after {
+        view.persist(off, 8, site)?;
     }
+    Ok(())
 }
 
 /// Release a PM spin lock; persists the release when `persist_after`.
@@ -82,8 +82,10 @@ mod tests {
         );
         let a = s.view(ThreadId(0));
         pm_lock_acquire(&a, 64, site!("lk"), true).unwrap();
-        // Second acquisition must fail until release; use a short-deadline
-        // session to observe the spin timing out.
+        // Second acquisition must fail until release. `b` is the only
+        // driver of its session and waits on a lock nobody in it can
+        // release: the all-waiting rule ends the spin (the deadline is
+        // only a backstop).
         let s2 = Session::new(
             Arc::clone(s.pool()),
             SessionConfig {
@@ -96,6 +98,7 @@ mod tests {
             pm_lock_acquire(&b, 64, site!("lk2"), false).unwrap_err(),
             RtError::Timeout
         );
+        assert_eq!(s2.hang_cause(), Some(pmrace_runtime::HangCause::AllWaiting));
         pm_lock_release(&a, 64, site!("unlk"), true).unwrap();
         let s3 = Session::new(Arc::clone(s.pool()), SessionConfig::default());
         let c = s3.view(ThreadId(2));

@@ -2,12 +2,12 @@
 //! validator the CI job runs against it.
 //!
 //! A [`Snapshot`] is a point-in-time read of the whole registry. Its JSON
-//! form is **schema version 6**, documented field by field in
+//! form is **schema version 7**, documented field by field in
 //! `docs/OBSERVABILITY.md`:
 //!
 //! ```json
 //! {
-//!   "version": 6,
+//!   "version": 7,
 //!   "enabled": true,
 //!   "elapsed_us": 12345678,
 //!   "counters":   { "exec.campaigns": 480, ... every catalog counter ... },
@@ -45,8 +45,10 @@ use crate::trace::{self, Phase};
 /// `sched.draft_wait_ns` histogram; version 5 added the
 /// `exec.session_reuses` and `exec.session_fresh` counters; version 6
 /// added the `exec.spare_resets`, `exec.spare_fresh` and
-/// `exec.pool_formats` counters and the `pool_start` phase.
-pub const SCHEMA_VERSION: u64 = 6;
+/// `exec.pool_formats` counters and the `pool_start` phase; version 7
+/// added the `exec.hangs_all_waiting` and `exec.hangs_spin_budget`
+/// counters.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// How many of the hottest sites a snapshot carries.
 pub const TOP_SITES: usize = 20;
@@ -324,7 +326,7 @@ fn check_uint_map(doc: &Value, field: &str, expected: &[&str]) -> Result<(), Str
     Ok(())
 }
 
-/// Validate a `telemetry.json` document against schema version 6: correct
+/// Validate a `telemetry.json` document against schema version 7: correct
 /// version, all required top-level fields, every cataloged counter / gauge
 /// / histogram / phase present with the right shape, and no un-cataloged
 /// names anywhere.

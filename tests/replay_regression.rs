@@ -8,6 +8,7 @@
 //! seeded bug is gone), or the replayer itself — all regressions.
 
 use pmrace::replay::{replay_corpus, ReplayOptions, ReproStore};
+use pmrace::telemetry::{self, metrics::counter, Counter};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("repros")
@@ -69,6 +70,7 @@ const STRICT_DIVERGENCES: [(&str, &str); 2] = [
 
 #[test]
 fn every_corpus_artifact_retriggers_its_bug() {
+    telemetry::set_enabled(true);
     let results = replay_corpus(&corpus_dir(), &ReplayOptions::default()).unwrap();
     let failures: Vec<String> = results
         .iter()
@@ -101,4 +103,15 @@ fn every_corpus_artifact_retriggers_its_bug() {
         assert!(why.starts_with("all live driver threads parked"), "{why}");
         assert!(why.contains(at), "{why}");
     }
+    // The `Hang` artifact's leaked P-CLHT bucket lock is judged the moment
+    // its only driver waits on it, not after the yield-credit budget.
+    assert!(
+        counter(Counter::ExecHangsAllWaiting) >= 1,
+        "no hang was judged by the all-waiting rule"
+    );
+    assert_eq!(
+        counter(Counter::ExecHangsSpinBudget),
+        0,
+        "a replayed hang fell back to the yield-credit budget"
+    );
 }
