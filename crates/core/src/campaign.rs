@@ -278,7 +278,7 @@ pub fn run_campaign(
                 for op in &ops {
                     // An op boundary is forward progress even when the op
                     // made no store (bounded retry loops giving up): keep
-                    // the livelock streak scoped to a single blocked op.
+                    // the spin streak scoped to a single blocked op.
                     view.begin_op();
                     match target.exec(&view, op) {
                         Ok(_) => {}
@@ -353,14 +353,8 @@ pub fn run_campaign(
         if findings.hang {
             telemetry::add(telemetry::Counter::ExecHangs, 1);
         }
-        match hang_cause {
-            Some(HangCause::AllWaiting) => {
-                telemetry::add(telemetry::Counter::ExecHangsAllWaiting, 1);
-            }
-            Some(HangCause::SpinBudget) => {
-                telemetry::add(telemetry::Counter::ExecHangsSpinBudget, 1);
-            }
-            Some(HangCause::Deadline) | None => {}
+        if hang_cause == Some(HangCause::AllWaiting) {
+            telemetry::add(telemetry::Counter::ExecHangsAllWaiting, 1);
         }
         let errs = op_errors.load(Ordering::Relaxed);
         if errs > 0 {
@@ -530,9 +524,7 @@ mod tests {
         // waits at once, and only the last of eight drivers releases the
         // lock, so thread 0 often waits before that driver's job has begun.
         // It still counts as live, since it was enlisted before any job ran:
-        // the all-waiting rule never judges such a campaign hung. (The
-        // yield-credit latch can, when a loaded host keeps the last driver
-        // off the CPU for milliseconds; that is not what is tested here.)
+        // the all-waiting rule never judges such a campaign hung.
         static RULE_VERDICTS: AtomicUsize = AtomicUsize::new(0);
         struct Handoff;
         impl pmrace_api::Target for Handoff {

@@ -176,7 +176,6 @@ fn recovery_session(pool: Arc<Pool>) -> Arc<Session> {
             max_crash_images: 0,
             whitelist: Whitelist::empty(),
             trace_depth: 0,
-            ..SessionConfig::default()
         },
     )
 }

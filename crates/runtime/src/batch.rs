@@ -152,14 +152,26 @@ impl SiteCounts {
 }
 
 /// Memo of this thread's most recent *failed* CAS, the key to the
-/// CAS-retry fast path in `PmView::cas_u64`. While the session-wide store
-/// counter still reads `progress`, no PM store has landed anywhere in the
-/// session, so the word provably still holds `observed` (with the same
-/// shadow taint) and an identical retry would fail exactly like the last
-/// attempt — it can be answered from this memo without touching the pool
-/// or re-running the instrumentation hooks. `pending` counts answered
-/// retries not yet folded into the granule's slot statistics
+/// CAS-retry fast path in `PmView::cas_u64`. While the pool's store count
+/// ([`Pool::store_seq`]) still reads `seq`, no PM store has landed
+/// anywhere in the pool, so the word provably still holds `observed` (with
+/// the same shadow taint) and an identical retry would fail exactly like
+/// the last attempt — it can be answered from this memo without touching
+/// the pool or re-running the instrumentation hooks. `pending` counts
+/// answered retries not yet folded into the granule's slot statistics
 /// (`Session::fold_cas_repeats`).
+///
+/// The store count is a sound key because every store, non-temporal store
+/// and successful CAS bumps it under the shard lock of the word it writes,
+/// *before* its bytes land, and `seq` is read before the failed CAS took
+/// that lock. A store to the word that the CAS did not see therefore
+/// bumped the count after the snapshot: it can only invalidate the memo
+/// spuriously, never validate a stale one. The count only falls when
+/// [`Pool::restore_crash_image`] resets the pool, which happens between
+/// campaigns, while no view (and so no memo) is live.
+///
+/// [`Pool::store_seq`]: pmrace_pmem::Pool::store_seq
+/// [`Pool::restore_crash_image`]: pmrace_pmem::Pool::restore_crash_image
 #[derive(Debug)]
 pub(crate) struct CasFailCache {
     pub(crate) valid: bool,
@@ -167,7 +179,7 @@ pub(crate) struct CasFailCache {
     pub(crate) site: u32,
     pub(crate) observed: u64,
     pub(crate) taint: TaintSet,
-    pub(crate) progress: u64,
+    pub(crate) seq: u64,
     pub(crate) pending: u32,
 }
 
@@ -179,7 +191,7 @@ impl CasFailCache {
             site: 0,
             observed: 0,
             taint: TaintSet::empty(),
-            progress: 0,
+            seq: 0,
             pending: 0,
         }
     }

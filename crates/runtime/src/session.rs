@@ -93,17 +93,6 @@ pub struct SessionConfig {
     /// Depth of the PM access-trace rings attached to bug reports
     /// (0 disables tracing).
     pub trace_depth: usize,
-    /// Consecutive [`PmView::spin_yield`] calls that may observe a frozen
-    /// session-wide mutation counter before the spinner declares a livelock
-    /// and latches the hang flag (the yield-credit latch, a few ms at the
-    /// default). It is the backstop for the hangs the all-waiting rule of
-    /// [`PmView::spin_until`] cannot decide: a lock holder parked by a
-    /// strategy or blocked in an OS mutex. `0` disables this latch only;
-    /// the all-waiting rule and the wall-clock `deadline` stay.
-    ///
-    /// [`PmView::spin_yield`]: crate::PmView::spin_yield
-    /// [`PmView::spin_until`]: crate::PmView::spin_until
-    pub livelock_spins: u32,
 }
 
 impl Default for SessionConfig {
@@ -114,7 +103,6 @@ impl Default for SessionConfig {
             max_crash_images: 64,
             whitelist: Whitelist::default_rules(),
             trace_depth: 128,
-            livelock_spins: 4096,
         }
     }
 }
@@ -569,14 +557,6 @@ pub struct Session {
     /// exit that judged the campaign hung (the first one wins).
     hang: AtomicU8,
     check_ctr: AtomicU32,
-    /// Mutation counter: bumped once per store (plain, non-temporal, or the
-    /// store half of a successful CAS). [`PmView::spin_yield`]'s
-    /// yield-credit latch samples it to tell a contended-but-live lock from
-    /// a leaked one — a spin loop that keeps seeing the same value is
-    /// making no one any progress.
-    ///
-    /// [`PmView::spin_yield`]: crate::PmView::spin_yield
-    progress: AtomicU64,
     pm_events: [EventCell; EVENT_CELLS],
     /// Monotone may-be-tainted granule filter gating the stripe lock on the
     /// store/load hot paths.
@@ -640,7 +620,6 @@ impl Session {
             halted: _,
             hang: _,
             check_ctr: _,
-            progress: _,
             pm_events: _,
             taint_filter: _,
             strategy_gen: _,
@@ -682,7 +661,6 @@ impl Session {
             halted: AtomicBool::new(false),
             hang: AtomicU8::new(0),
             check_ctr: AtomicU32::new(0),
-            progress: AtomicU64::new(0),
             pm_events: Default::default(),
             taint_filter: TaintFilter::new(),
             strategy_gen: AtomicU64::new(1),
@@ -832,11 +810,6 @@ impl Session {
             return Err(RtError::Timeout);
         }
         Ok(())
-    }
-
-    /// Current mutation count (see the `progress` field).
-    pub(crate) fn progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
     }
 
     /// Latches the hang flag so every thread's next check fails with
@@ -1170,10 +1143,6 @@ impl Session {
         state_before: PersistState,
     ) {
         buf.pm_events += 1;
-        // Mutation heartbeat for the spin-loop livelock detector. Stores are
-        // orders of magnitude rarer than loads, so one relaxed bump here does
-        // not show up in the hot-path matrix.
-        self.progress.fetch_add(1, Ordering::Relaxed);
         if telemetry::enabled() {
             if non_temporal {
                 buf.tel.ntstores += 1;

@@ -46,12 +46,13 @@ pub struct PmView {
     /// failure (prime interposition point) from a retry storm (back off).
     cas_fail_site: Cell<u32>,
     cas_fail_streak: Cell<u32>,
-    /// Session mutation count last observed by [`PmView::spin_yield`], with
-    /// the number of consecutive yields that saw it unchanged. A streak of
-    /// `livelock_spins` no-progress yields means every thread is stuck
-    /// behind a lock nobody will release (a leaked-lock hang bug): latch the
-    /// hang early instead of spinning out the wall-clock deadline.
-    spin_progress: Cell<u64>,
+    /// Pool store count ([`Pool::store_seq`]) last observed by
+    /// [`PmView::spin_yield`], with the number of consecutive yields that
+    /// saw it unchanged: after [`SPIN_PARK_AFTER`] of them the spinner
+    /// parks instead of yielding.
+    ///
+    /// [`Pool::store_seq`]: pmrace_pmem::Pool::store_seq
+    spin_seq: Cell<u64>,
     spin_streak: Cell<u32>,
     /// Stores made through this view, for [`PmView::spin_until`]'s check
     /// that a failed attempt stored nothing.
@@ -78,23 +79,13 @@ const SPIN_PARK_AFTER: u32 = 128;
 /// lock holder parked at a sync point (two reports after its park), so
 /// long parks are left to waits nothing else can shorten: a long critical
 /// section, a thread that cannot be drafted while another still runs, or
-/// a leaked lock the all-waiting rule cannot judge (its holder parked by a
-/// strategy or blocked in an OS mutex) until the yield-credit latch fires
-/// (a few ms). At this
+/// a lock holder a strategy keeps parked. At this
 /// quantum such a wait costs a few sleep syscalls per millisecond rather
 /// than ~25 at 40 µs: each `nanosleep` costs a few µs of kernel time, and
 /// under the fleet that overhead was a measurable slice of per-campaign
 /// CPU. The coarser wakeup adds at most one quantum of latency after the
 /// holder releases the lock.
 const SPIN_PARK_QUANTUM: std::time::Duration = std::time::Duration::from_micros(120);
-
-/// Livelock-streak credit per parked sleep: one park covers roughly this
-/// many yield-loop iterations of frozen wall-clock time, so the hang latch
-/// fires on about the same schedule whether the spinner yields or parks
-/// (`livelock_spins` keeps one meaning: frozen spin-iterations until the
-/// session is declared hung). With the default `livelock_spins` the latch
-/// fires after ~20 parks, a few ms of frozen session.
-const SPIN_PARK_CREDIT: u32 = 192;
 
 impl PmView {
     pub(crate) fn new(session: Arc<Session>, tid: ThreadId) -> Self {
@@ -106,7 +97,7 @@ impl PmView {
             check_ctr: Cell::new(0),
             cas_fail_site: Cell::new(NO_CAS_SITE),
             cas_fail_streak: Cell::new(0),
-            spin_progress: Cell::new(0),
+            spin_seq: Cell::new(0),
             spin_streak: Cell::new(0),
             #[cfg(debug_assertions)]
             stores: Cell::new(0),
@@ -163,59 +154,39 @@ impl PmView {
     }
 
     /// Cooperative spin-wait step: deadline check, strategy `on_spin`
-    /// notification, livelock detection, thread yield.
+    /// notification, thread yield.
     ///
-    /// Besides the sampled deadline check this watches the session's
-    /// mutation counter: when `livelock_spins` consecutive yields observe no
-    /// store anywhere in the session, the lock this thread is spinning on is
-    /// never going to be released (a leaked-lock hang bug) and the hang flag
-    /// is latched immediately rather than after the full wall-clock
-    /// deadline. The bug report is identical either way — only the time to
-    /// reach it changes. This yield-credit latch is the backstop of the
-    /// all-waiting rule of [`PmView::spin_until`], which judges a leaked
-    /// lock at once but cannot decide a wait whose lock holder is parked by
-    /// a strategy or blocked in an OS mutex.
+    /// A spinner that has seen no store land in the pool
+    /// ([`Pool::store_seq`] unchanged) for 128 consecutive yields parks in
+    /// short sleeps instead of yielding, so it stops stealing CPU from the
+    /// thread it waits for. A spin never judges a hang: a leaked lock is
+    /// judged by the all-waiting rule of [`PmView::spin_until`], and
+    /// anything else by the deadline.
     ///
     /// The streak is meant to accumulate inside a *single* blocked
-    /// operation; drivers call [`PmView::begin_op`] between operations so
-    /// bounded retry loops that give up (e.g. a consumer re-polling an
-    /// empty lock-free stack) are not mistaken for a hang.
+    /// operation; drivers call [`PmView::begin_op`] between operations.
     ///
     /// # Errors
     ///
     /// [`RtError::Timeout`] or [`RtError::Halted`].
+    ///
+    /// [`Pool::store_seq`]: pmrace_pmem::Pool::store_seq
     pub fn spin_yield(&self) -> Result<(), RtError> {
         self.check()?;
         if !self.session.strategy_passive() {
             let mut buf = self.buf.borrow_mut();
             self.cached_strategy(&mut buf).on_spin(self.tid);
         }
-        let limit = self.session.config().livelock_spins;
-        if limit != 0 {
-            let p = self.session.progress();
-            if p != self.spin_progress.get() {
-                self.spin_progress.set(p);
-                self.spin_streak.set(0);
-            } else {
-                // Parked sleeps advance the streak by their yield-loop
-                // equivalent so the latch deadline stays in wall-clock
-                // terms (a parked spinner must not take ~50× longer to
-                // notice a genuine leaked-lock hang).
-                let step = if self.spin_streak.get() >= SPIN_PARK_AFTER {
-                    SPIN_PARK_CREDIT
-                } else {
-                    1
-                };
-                let n = self.spin_streak.get().saturating_add(step);
-                self.spin_streak.set(n);
-                if n >= limit {
-                    self.session.latch_hang(HangCause::SpinBudget);
-                    return Err(RtError::Timeout);
-                }
-                if n >= SPIN_PARK_AFTER {
-                    std::thread::sleep(SPIN_PARK_QUANTUM);
-                    return Ok(());
-                }
+        let seq = self.session.pool().store_seq();
+        if seq != self.spin_seq.get() {
+            self.spin_seq.set(seq);
+            self.spin_streak.set(0);
+        } else {
+            let n = self.spin_streak.get().saturating_add(1);
+            self.spin_streak.set(n);
+            if n >= SPIN_PARK_AFTER {
+                std::thread::sleep(SPIN_PARK_QUANTUM);
+                return Ok(());
             }
         }
         std::thread::yield_now();
@@ -232,8 +203,7 @@ impl PmView {
     /// knows it: once every live driver thread waits here and the latest
     /// attempt of each failed after the newest wait entry or
     /// [`Session::thread_done`], no attempt can ever succeed and the hang
-    /// latches at once (the all-waiting rule, see [`crate::wait`]), without
-    /// spending the `livelock_spins` budget of [`PmView::spin_yield`].
+    /// latches at once (the all-waiting rule, see [`crate::wait`]).
     ///
     /// Bounded retry loops, which give up by themselves, use plain
     /// [`PmView::spin_yield`] instead: they can never be a hang.
@@ -281,16 +251,11 @@ impl PmView {
 
     /// Operation boundary: the campaign driver calls this before each
     /// target operation. Reports the boundary to the strategy
-    /// ([`InterleaveStrategy::before_op`]) and resets this view's livelock
+    /// ([`InterleaveStrategy::before_op`]) and resets this view's spin
     /// streak, since finishing an operation is forward progress even when
-    /// it made no PM store.
-    ///
-    /// A true livelock keeps one thread inside one spin loop forever.
-    /// Without the reset, a *bounded* retry loop that legitimately gives up
-    /// (returns "empty"/"contended" after N yields) would accumulate
-    /// streak across consecutive store-free operations — e.g. a consumer
-    /// thread draining an already-empty lock-free stack after the
-    /// producers finished — and false-trigger the hang latch.
+    /// it made no PM store: a *bounded* retry loop that gives up (a
+    /// consumer re-polling an already-empty lock-free stack) starts its
+    /// next operation yielding, not parked.
     pub fn begin_op(&self) {
         self.spin_streak.set(0);
         if !self.session.strategy_passive() {
@@ -527,8 +492,8 @@ impl PmView {
         let mut buf = self.buf.borrow_mut();
         let active = !self.session.strategy_passive();
         // Fast path: an identical retry of the CAS that just failed. While
-        // the session-wide store counter is unchanged, *no* PM store has
-        // landed anywhere, so the word provably still holds the observed
+        // the pool's store count is unchanged, *no* PM store has landed
+        // anywhere, so the word provably still holds the observed
         // value (and the same shadow taint) and the retry would fail
         // exactly like the last attempt. Answer it from the per-thread
         // memo: no pool access, no granule flush, no candidate or coverage
@@ -546,7 +511,7 @@ impl PmView {
             && self.cas_fail_site.get() == site.id()
             && expected != buf.cas_cache.observed
             && !self.session.checkers_armed()
-            && self.session.progress() == buf.cas_cache.progress
+            && self.session.pool().store_seq() == buf.cas_cache.seq
         {
             if active {
                 self.cached_strategy(&mut buf).before_store(&ctx);
@@ -554,8 +519,8 @@ impl PmView {
             }
             // The hook may have blocked while another thread stored (e.g.
             // released the word this thread is spinning on): only answer
-            // from the memo if the session is still frozen.
-            if self.session.progress() == buf.cas_cache.progress {
+            // from the memo if the pool is still frozen.
+            if self.session.pool().store_seq() == buf.cas_cache.seq {
                 buf.pm_events += 1;
                 if pmrace_telemetry::enabled() {
                     buf.tel.cas += 1;
@@ -591,10 +556,10 @@ impl PmView {
             buf.tel.cas += 1;
         }
         let state_before = self.session.range_state(off.value(), 8);
-        // Snapshot the store counter *before* the CAS reads the word: a
+        // Snapshot the store count *before* the CAS reads the word: a
         // store racing this window can only spuriously invalidate the
-        // memo, never validate a stale one.
-        let progress_before = self.session.progress();
+        // memo, never validate a stale one (see `CasFailCache`).
+        let seq_before = self.session.pool().store_seq();
         let (swapped, observed, info) = self.session.pool().cas_u64(
             off.value(),
             expected,
@@ -653,7 +618,7 @@ impl PmView {
             buf.cas_cache.site = site.id();
             buf.cas_cache.observed = observed;
             buf.cas_cache.taint = taint.clone();
-            buf.cas_cache.progress = progress_before;
+            buf.cas_cache.seq = seq_before;
             buf.cas_cache.pending = 0;
             taint.union_with(off.taint());
         }
@@ -1025,6 +990,30 @@ mod tests {
         assert!(seen.iter().all(|(l, _)| l == "cas.retry"));
     }
 
+    #[test]
+    fn a_cas_retry_succeeds_once_a_peer_releases_the_word() {
+        // The waiter's identical retries are answered from its failed-CAS
+        // memo while nothing stores; the holder's release must invalidate
+        // the memo, or the waiter would spin on a free lock forever.
+        let s = session();
+        let holder = s.view(ThreadId(0));
+        let waiter = s.view(ThreadId(1));
+        holder.store_u64(64u64, 1, site!("memo.lock")).unwrap();
+        // One site for every attempt: the memo only answers retries of the
+        // CAS instruction that failed.
+        let acquire = || {
+            waiter
+                .cas_u64(64u64, 0, 1, site!("memo.acquire"))
+                .unwrap()
+                .0
+        };
+        for _ in 0..3 {
+            assert!(!acquire(), "the holder still has the word");
+        }
+        holder.store_u64(64u64, 0, site!("memo.unlock")).unwrap();
+        assert!(acquire(), "the retry was answered from a stale memo");
+    }
+
     trait SessionExt {
         fn session(&self) -> &Arc<Session>;
     }
@@ -1062,37 +1051,5 @@ mod tests {
             v.store_u64(64u64, 1, site!("attempt.store"))?;
             Ok(None::<()>)
         });
-    }
-
-    #[test]
-    fn livelock_spin_latches_hang_long_before_the_deadline() {
-        // A leaked lock: the word stays 1 forever, so every CAS fails and no
-        // store happens anywhere in the session. The spinner must give up
-        // after `livelock_spins` no-progress yields — not after the (here
-        // deliberately enormous) wall-clock deadline.
-        let pool = Arc::new(Pool::new(PoolOpts::with_size(1 << 16)));
-        let s = Session::new(
-            pool,
-            SessionConfig {
-                deadline: std::time::Duration::from_secs(3600),
-                livelock_spins: 64,
-                ..SessionConfig::default()
-            },
-        );
-        // A hand-rolled retry loop, not a `spin_until` wait: only the
-        // credit latch can end it.
-        let v = s.view(ThreadId(0));
-        v.store_u64(64u64, 1, site!("lock.leak")).unwrap();
-        let err = loop {
-            let (ok, _) = v.cas_u64(64u64, 0, 1, site!("lock.acquire")).unwrap();
-            assert!(!ok, "nobody releases this lock");
-            if let Err(e) = v.spin_yield() {
-                break e;
-            }
-        };
-        assert_eq!(err, RtError::Timeout);
-        assert_eq!(s.hang_cause(), Some(HangCause::SpinBudget));
-        drop(v);
-        assert!(s.finish().hang, "early latch must still report a hang");
     }
 }

@@ -49,9 +49,6 @@ pub enum HangCause {
     ///
     /// [`PmView::spin_until`]: crate::PmView::spin_until
     AllWaiting,
-    /// A spinner spent its `livelock_spins` yield credits with no store
-    /// anywhere in the session (see [`crate::SessionConfig::livelock_spins`]).
-    SpinBudget,
 }
 
 impl HangCause {
@@ -60,7 +57,6 @@ impl HangCause {
         match self {
             HangCause::Deadline => 1,
             HangCause::AllWaiting => 2,
-            HangCause::SpinBudget => 3,
         }
     }
 
@@ -68,7 +64,6 @@ impl HangCause {
         match code {
             1 => Some(HangCause::Deadline),
             2 => Some(HangCause::AllWaiting),
-            3 => Some(HangCause::SpinBudget),
             _ => None,
         }
     }
@@ -160,8 +155,8 @@ impl Drop for Waiting<'_> {
 
 #[cfg(test)]
 mod tests {
-    //! Every session here has a one-hour deadline and no yield-credit
-    //! latch, so only the all-waiting rule can end a wait. The tests never
+    //! Every session here has a one-hour deadline, so only the
+    //! all-waiting rule can end a wait. The tests never
     //! assert on time: `until` gives up after a minute only so that a
     //! broken rule fails the test instead of hanging it.
 
@@ -183,7 +178,6 @@ mod tests {
             Arc::new(Pool::new(PoolOpts::small())),
             SessionConfig {
                 deadline: Duration::from_secs(3600),
-                livelock_spins: 0,
                 ..SessionConfig::default()
             },
         )
@@ -360,6 +354,60 @@ mod tests {
             assert_eq!(w.join().unwrap(), Err(RtError::Timeout));
         });
         assert_eq!(s.hang_cause(), Some(HangCause::AllWaiting));
+    }
+
+    /// A strategy that sleeps `tid` for `nap` at each operation start.
+    #[derive(Debug)]
+    struct Nap {
+        tid: ThreadId,
+        nap: Duration,
+    }
+
+    impl InterleaveStrategy for Nap {
+        fn name(&self) -> &'static str {
+            "nap"
+        }
+
+        fn before_op(&self, tid: ThreadId, _: &dyn Fn() -> bool) {
+            if tid == self.tid {
+                std::thread::sleep(self.nap);
+            }
+        }
+    }
+
+    #[test]
+    fn a_holder_a_strategy_parks_for_long_is_waited_for() {
+        // The holder sleeps 20 ms in a strategy hook with the lock held and
+        // no store anywhere, as a `DelayStrategy` delay on a loaded host
+        // can: far longer than a spinner needs to start parking. Its waiter
+        // waits it out, and nothing hangs.
+        let s = &session();
+        s.set_strategy(Arc::new(Nap {
+            tid: ThreadId(1),
+            nap: Duration::from_millis(20),
+        }));
+        let waiter = s.view(ThreadId(0));
+        let holder = s.view(ThreadId(1));
+        lock(&holder, LOCK, &AtomicUsize::new(0)).unwrap();
+        let tries = &AtomicUsize::new(0);
+        std::thread::scope(|sc| {
+            let w = sc.spawn(move || {
+                lock(&waiter, LOCK, tries)?;
+                s.thread_done(waiter.tid());
+                Ok::<(), RtError>(())
+            });
+            until(s, || tries.load(Ordering::Relaxed) >= 2);
+            let h = sc.spawn(move || {
+                holder.begin_op();
+                holder.store_u64(LOCK, 0u64, site!("wait.test.unlock"))?;
+                s.thread_done(holder.tid());
+                Ok::<(), RtError>(())
+            });
+            until(s, || w.is_finished() && h.is_finished());
+            assert_eq!(h.join().unwrap(), Ok(()));
+            assert_eq!(w.join().unwrap(), Ok(()));
+        });
+        assert_eq!(s.hang_cause(), None);
     }
 
     /// Leak the lock at `off`: held by a thread no view belongs to.

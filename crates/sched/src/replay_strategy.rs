@@ -23,7 +23,7 @@
 //! recorded reader loads before a holding writer flushes.
 //!
 //! No wall clock is involved. A thread spinning on a lock is not parked
-//! (a spin that never ends is the runtime's livelock latch's to break),
+//! (a spin on a leaked lock is the runtime's all-waiting rule's to judge),
 //! and neither is one blocked outside the runtime, e.g. on a volatile
 //! mutex a parked thread holds; the campaign deadline ends that case.
 

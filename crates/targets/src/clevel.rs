@@ -157,7 +157,10 @@ impl Clevel {
     /// thread, but with the same two-level b2t search structure.
     fn expand(&self, view: &PmView) -> Result<(), RtError> {
         view.branch(site!("clevel.expand"));
-        let _guard = self.expand_lock.lock();
+        // Wait for the lock through `spin_until`, not in the OS: a waiter
+        // stays visible to the scheduler as spinning and to the session's
+        // hang detection.
+        let _guard = view.spin_until(|| Ok(self.expand_lock.try_lock()))?;
         let (first, last, fcap, lcap) = self.levels(view)?;
         let new_cap = fcap * 2;
         let new_level = self

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use pmrace_pmem::PmAllocator;
-use pmrace_runtime::{site, PmView, RtError, Session, SyncVarAnnotation, TU64};
+use pmrace_runtime::{site, PmView, RtError, Session, Site, SyncVarAnnotation, TU64};
 
 use crate::util::{hash64, pm_lock_acquire, pm_lock_release};
 use crate::{Op, OpResult, Target, TargetSpec};
@@ -223,6 +223,17 @@ impl Pclht {
         Ok((table, nbuckets))
     }
 
+    /// Wait until the table pointer no longer names the sealed `table`: its
+    /// resizer has published the new one. A wait, not a retry loop, so a
+    /// resize that never publishes (its resizer hung or finished without
+    /// swapping) is judged by the session's all-waiting rule.
+    fn await_swap(&self, view: &PmView, table: u64, site: Site) -> Result<(), RtError> {
+        view.spin_until(|| {
+            let current = view.load_u64(self.root + R_HT_OFF, site)?;
+            Ok((current != table).then_some(()))
+        })
+    }
+
     /// Insert or overwrite `key -> value`.
     ///
     /// # Errors
@@ -237,15 +248,15 @@ impl Pclht {
             pm_lock_acquire(view, bucket.value() + B_LOCK, lock_site, true)?;
             let sealed = view.load_u64(table.clone() + T_SEALED, site!("clht.put.read_sealed"))?;
             if sealed == 1u64 {
-                // Resize in progress on this table: release and retry on the
-                // (possibly new) table.
+                // Resize in progress on this table: release, wait for the
+                // resizer to publish the new table, and retry on it.
                 pm_lock_release(
                     view,
                     bucket.value() + B_LOCK,
                     site!("clht.put.unlock_sealed"),
                     true,
                 )?;
-                view.spin_yield()?;
+                self.await_swap(view, table.value(), site!("clht.put.await_swap"))?;
                 continue;
             }
             // Scan the bucket chain for the key or a free slot.
@@ -346,7 +357,7 @@ impl Pclht {
                     site!("clht.del.unlock_sealed"),
                     true,
                 )?;
-                view.spin_yield()?;
+                self.await_swap(view, table.value(), site!("clht.del.await_swap"))?;
                 continue;
             }
             let (found, _, _, _) = self.scan_chain(view, &bucket, key)?;
@@ -635,7 +646,7 @@ impl Target for Pclht {
 mod tests {
     use super::*;
     use pmrace_pmem::{Pool, PoolOpts, ThreadId};
-    use pmrace_runtime::SessionConfig;
+    use pmrace_runtime::{HangCause, SessionConfig};
 
     fn fresh() -> (Arc<Session>, Pclht) {
         let session = Session::new(
@@ -700,6 +711,32 @@ mod tests {
         let t2 = Pclht::recover(&s2).unwrap(); // recovery keeps bucket locks!
         let v2 = s2.view(ThreadId(1));
         assert_eq!(t2.put(&v2, 7, 3).unwrap_err(), RtError::Timeout);
+    }
+
+    #[test]
+    fn a_put_on_a_table_never_swapped_is_judged_by_the_all_waiting_rule() {
+        // A resizer seals the table and finishes without publishing a new
+        // one: a put on the sealed table waits for a swap that never comes.
+        // The deadline is an hour, so only the all-waiting rule can end it.
+        let s = Session::new(
+            Arc::new(Pool::new(PoolOpts::small())),
+            SessionConfig {
+                deadline: std::time::Duration::from_secs(3600),
+                ..SessionConfig::default()
+            },
+        );
+        let t = Pclht::init(&s).unwrap();
+        let writer = s.view(ThreadId(0));
+        let resizer = s.view(ThreadId(1));
+        let table = resizer
+            .load_u64(t.root + R_HT_OFF, site!("test.resize.read_ht_off"))
+            .unwrap();
+        resizer
+            .ntstore_u64(table + T_SEALED, 1u64, site!("test.resize.seal"))
+            .unwrap();
+        s.thread_done(resizer.tid());
+        assert_eq!(t.put(&writer, 7, 1).unwrap_err(), RtError::Timeout);
+        assert_eq!(s.hang_cause(), Some(HangCause::AllWaiting));
     }
 
     #[test]

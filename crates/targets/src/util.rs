@@ -26,7 +26,7 @@ pub fn hash64(key: u64) -> u64 {
 /// [`RtError::Timeout`] when the campaign hangs while this thread waits:
 /// at once when every live driver thread waits on a lock nobody can
 /// release (a leaked lock, how seeded deadlock bugs surface as hangs),
-/// else when the yield-credit budget or the deadline runs out.
+/// else when the deadline runs out.
 pub fn pm_lock_acquire(
     view: &PmView,
     off: u64,

@@ -43,7 +43,6 @@ metric_enum! {
     ExecCampaigns => "exec.campaigns",
     ExecHangs => "exec.hangs",
     ExecHangsAllWaiting => "exec.hangs_all_waiting",
-    ExecHangsSpinBudget => "exec.hangs_spin_budget",
     ExecOpErrors => "exec.op_errors",
     ExecSessionReuses => "exec.session_reuses",
     ExecSessionFresh => "exec.session_fresh",

@@ -47,8 +47,8 @@ use crate::trace::{self, Phase};
 /// added the `exec.spare_resets`, `exec.spare_fresh` and
 /// `exec.pool_formats` counters and the `pool_start` phase; version 7
 /// added the `exec.hangs_all_waiting` and `exec.hangs_spin_budget`
-/// counters.
-pub const SCHEMA_VERSION: u64 = 7;
+/// counters; version 8 removed `exec.hangs_spin_budget`.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// How many of the hottest sites a snapshot carries.
 pub const TOP_SITES: usize = 20;

@@ -213,7 +213,7 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
     let campaigns = get_u64(&doc, "counters", "exec.campaigns");
     let _ = writeln!(
         out,
-        "  campaigns {campaigns} ({}/s)  hangs {} ({} all waiting, {} spin budget)  \
+        "  campaigns {campaigns} ({}/s)  hangs {} ({} all waiting)  \
          op-errors {}  sessions {} recycled, {} fresh",
         if wall_us > 0 {
             format!("{:.1}", campaigns as f64 / (wall_us as f64 / 1e6))
@@ -222,7 +222,6 @@ fn render_snapshot(path: &Path, text: &str, top: usize) -> Result<String, String
         },
         get_u64(&doc, "counters", "exec.hangs"),
         get_u64(&doc, "counters", "exec.hangs_all_waiting"),
-        get_u64(&doc, "counters", "exec.hangs_spin_budget"),
         get_u64(&doc, "counters", "exec.op_errors"),
         get_u64(&doc, "counters", "exec.session_reuses"),
         get_u64(&doc, "counters", "exec.session_fresh"),
@@ -428,7 +427,6 @@ mod tests {
         add(Counter::ExecCampaigns, 4);
         add(Counter::ExecHangs, 3);
         add(Counter::ExecHangsAllWaiting, 2);
-        add(Counter::ExecHangsSpinBudget, 1);
         add(Counter::ExecSpareResets, 3);
         add(Counter::ExecPoolFormats, 1);
         add(Counter::PlanPlanned, 10);
@@ -448,7 +446,7 @@ mod tests {
         assert!(report.contains("phase breakdown"));
         assert!(report.contains("execution"));
         assert!(report.contains("0.70x per plan"));
-        assert!(report.contains("hangs 3 (2 all waiting, 1 spin budget)"));
+        assert!(report.contains("hangs 3 (2 all waiting)"));
         assert!(report.contains(
             "pool starts: 3 spare pool reset in place, 0 spare pool built, 1 new pools formatted"
         ));

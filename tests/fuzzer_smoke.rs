@@ -44,6 +44,28 @@ fn systematic_baseline_runs() {
     assert!(report.campaigns >= 1);
 }
 
+/// clevel's `expand_lock` is a volatile lock taken through `spin_until`: a
+/// systematic token holder that waits for it reports a spin and passes the
+/// token on, instead of blocking in the OS while the lock holder waits for
+/// the token until the deadline.
+#[test]
+fn systematic_clevel_campaigns_do_not_hang() {
+    let mut cfg = quick_cfg("clevel");
+    cfg.strategy = StrategyKind::Systematic;
+    cfg.workers = 1;
+    cfg.max_campaigns = 30;
+    cfg.wall_budget = Duration::from_secs(600);
+    cfg.campaign_deadline = Duration::from_secs(5);
+    cfg.rng_seed = 1;
+    let report = Fuzzer::new(cfg).unwrap().run().unwrap();
+    assert_eq!(report.campaigns, 30);
+    assert_eq!(
+        report.stats.hangs, 0,
+        "systematic clevel campaigns hung: {:?}",
+        report.bug_triples
+    );
+}
+
 #[test]
 fn ablation_modes_run() {
     for (ie, se) in [(false, true), (true, false)] {

@@ -37,8 +37,8 @@ fn parked_lock_holder_is_drafted_for_a_spinning_waiter() {
     };
     let tuning = SyncTuning {
         skip_jitter: 0,
-        // ~10 s: far past the livelock latch, so only a draft ends the wait
-        // in time.
+        // ~10 s: far past the 5 s the waiter is allowed, so only a draft
+        // ends the wait in time.
         disable_iters: 200_000,
         ..SyncTuning::default()
     };

@@ -104,14 +104,15 @@ fn every_corpus_artifact_retriggers_its_bug() {
         assert!(why.contains(at), "{why}");
     }
     // The `Hang` artifact's leaked P-CLHT bucket lock is judged the moment
-    // its only driver waits on it, not after the yield-credit budget.
+    // its only driver waits on it, and no replayed hang is left to the
+    // wall-clock deadline.
     assert!(
         counter(Counter::ExecHangsAllWaiting) >= 1,
         "no hang was judged by the all-waiting rule"
     );
     assert_eq!(
-        counter(Counter::ExecHangsSpinBudget),
-        0,
-        "a replayed hang fell back to the yield-credit budget"
+        counter(Counter::ExecHangs),
+        counter(Counter::ExecHangsAllWaiting),
+        "a replayed hang was judged by the deadline, not the all-waiting rule"
     );
 }
