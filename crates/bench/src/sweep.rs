@@ -1,7 +1,7 @@
 //! Shared fuzzing sweep: one PMRace run per target, reused by Tables 2/3/5/6.
 
 use pmrace_core::{FuzzConfig, FuzzReport, Fuzzer, StrategyKind};
-use pmrace_targets::all_targets;
+use pmrace_targets::{all_targets, register_builtins};
 
 use crate::Budget;
 
@@ -19,7 +19,8 @@ pub fn fuzz_all_targets(budget: Budget, rng_seed: u64) -> Vec<FuzzReport> {
         .collect()
 }
 
-/// Run one fuzzing sweep on a single target.
+/// Run one fuzzing sweep on a single target (the five built-in targets are
+/// registered first, so an experiment run on its own finds them).
 ///
 /// # Panics
 ///
@@ -31,6 +32,7 @@ pub fn fuzz_target(
     strategy: StrategyKind,
     rng_seed: u64,
 ) -> FuzzReport {
+    register_builtins();
     let mut cfg = FuzzConfig::new(name);
     cfg.strategy = strategy;
     cfg.max_campaigns = budget.campaigns;

@@ -57,6 +57,12 @@ pub trait InterleaveStrategy: Send + Sync {
         let _ = ctx;
     }
 
+    /// Called after a PM load read its value, before the program acts on
+    /// it: a scheduler that orders accesses knows the load is done.
+    fn after_load(&self, ctx: &AccessCtx<'_>) {
+        let _ = ctx;
+    }
+
     /// Called before a PM store.
     fn before_store(&self, ctx: &AccessCtx<'_>) {
         let _ = ctx;
@@ -145,6 +151,7 @@ mod tests {
             cancelled: &cancelled,
         };
         s.before_load(&ctx);
+        s.after_load(&ctx);
         s.before_store(&ctx);
         s.after_store(&ctx);
         s.on_cas_fail(&ctx, 1);

@@ -294,12 +294,16 @@ impl PmView {
         self.check()?;
         let off = off.into();
         let mut buf = self.buf.borrow_mut();
-        if !self.session.strategy_passive() {
-            let cancelled = || self.session.cancelled();
-            self.cached_strategy(&mut buf)
-                .before_load(&self.ctx(off.value(), 8, site, &cancelled));
+        let cancelled = || self.session.cancelled();
+        let ctx = self.ctx(off.value(), 8, site, &cancelled);
+        let active = !self.session.strategy_passive();
+        if active {
+            self.cached_strategy(&mut buf).before_load(&ctx);
         }
         let (val, info) = self.session.pool().load_u64(off.value())?;
+        if active {
+            self.cached_strategy(&mut buf).after_load(&ctx);
+        }
         let mut taint = self.session.on_load(
             &mut buf,
             off.value(),
@@ -327,17 +331,17 @@ impl PmView {
         self.check()?;
         let off = off.into();
         let mut buf = self.buf.borrow_mut();
-        if !self.session.strategy_passive() {
-            let cancelled = || self.session.cancelled();
-            self.cached_strategy(&mut buf).before_load(&self.ctx(
-                off.value(),
-                len,
-                site,
-                &cancelled,
-            ));
+        let cancelled = || self.session.cancelled();
+        let ctx = self.ctx(off.value(), len, site, &cancelled);
+        let active = !self.session.strategy_passive();
+        if active {
+            self.cached_strategy(&mut buf).before_load(&ctx);
         }
         let mut bytes = vec![0u8; len];
         let info = self.session.pool().load(off.value(), &mut bytes)?;
+        if active {
+            self.cached_strategy(&mut buf).after_load(&ctx);
+        }
         let mut taint = self.session.on_load(
             &mut buf,
             off.value(),

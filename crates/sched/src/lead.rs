@@ -93,6 +93,12 @@ impl InterleaveStrategy for LeadFirst {
         }
     }
 
+    fn after_load(&self, ctx: &AccessCtx<'_>) {
+        if let Some(inner) = &self.inner {
+            inner.after_load(ctx);
+        }
+    }
+
     fn before_store(&self, ctx: &AccessCtx<'_>) {
         self.lead_progressed(ctx.tid);
         if let Some(inner) = &self.inner {
@@ -229,6 +235,9 @@ mod tests {
             fn before_load(&self, _: &AccessCtx<'_>) {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
+            fn after_load(&self, _: &AccessCtx<'_>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
             fn before_store(&self, _: &AccessCtx<'_>) {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
@@ -254,12 +263,13 @@ mod tests {
         let never = || false;
         s.before_op(ThreadId(0), &never);
         s.before_load(&ctx(0, &never));
+        s.after_load(&ctx(0, &never));
         s.before_store(&ctx(0, &never));
         s.after_store(&ctx(0, &never));
         s.on_cas_fail(&ctx(0, &never), 1);
         s.on_spin(ThreadId(0));
         s.thread_done(ThreadId(0));
         s.campaign_end();
-        assert_eq!(inner.0.load(Ordering::Relaxed), 8);
+        assert_eq!(inner.0.load(Ordering::Relaxed), 9);
     }
 }

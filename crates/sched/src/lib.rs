@@ -17,6 +17,11 @@
 //! - [`SystematicStrategy`] — a serialization baseline modeling the
 //!   interleaving-enumeration family (§7), for cost comparisons.
 //!
+//! Both [`SystematicStrategy`] and strict replay park the driver threads
+//! that may not run yet on one turnstile (`turnstile.rs`): it owns each
+//! thread's running/parked/done state, the all-live-threads-parked test
+//! and the park/unpark hand-off.
+//!
 //! [`AccessQueue`] is the priority queue of shared PM data accesses the
 //! fuzzer fetches entries from; [`SkipStore`] carries learned skip counts
 //! across campaigns of the same seed.
@@ -39,6 +44,7 @@ mod record;
 mod replay_strategy;
 mod skip;
 mod systematic;
+mod turnstile;
 
 pub use delay::DelayStrategy;
 pub use lead::LeadFirst;
@@ -48,3 +54,8 @@ pub use record::{AccessEvent, RecordingStrategy, ScheduleLog, MAX_RECORDED_EVENT
 pub use replay_strategy::{ReplayEvent, ReplayStrategy};
 pub use skip::SkipStore;
 pub use systematic::SystematicStrategy;
+
+/// The longest a parked scheduler wait sleeps before it re-checks campaign
+/// cancellation: the only timer in the Fig. 6 hub's condvar waits and in
+/// the turnstile's parks, which every other event wakes at once.
+const CANCEL_POLL: std::time::Duration = std::time::Duration::from_millis(1);

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use pmrace_pmem::ThreadId;
 use pmrace_runtime::strategy::{AccessCtx, InterleaveStrategy};
 
-use crate::{QueueEntry, SkipStore};
+use crate::{QueueEntry, SkipStore, CANCEL_POLL};
 
 /// Timing and hang-detection knobs of the Fig. 6 algorithm.
 ///
@@ -104,10 +104,6 @@ const CAS_STORM_BOUND: u32 = 8;
 /// Upper bound of `cond_wait` engagements per CAS site per campaign; after
 /// this many interpositions further failures pass through untouched.
 const CAS_ENGAGE_CAP: u32 = 4;
-
-/// Upper bound on one condvar park inside `cond_wait`: parked threads wake
-/// at least this often to re-check campaign cancellation.
-const CANCEL_POLL: Duration = Duration::from_millis(1);
 
 /// `on_spin` reports a spinner must make after the newest park (or
 /// `thread_done`) before the draft counts it as blocked. The park may

@@ -127,6 +127,10 @@ impl InterleaveStrategy for RecordingStrategy {
         self.record(true, ctx);
     }
 
+    fn after_load(&self, ctx: &AccessCtx<'_>) {
+        self.inner.after_load(ctx);
+    }
+
     fn before_store(&self, ctx: &AccessCtx<'_>) {
         self.inner.before_store(ctx);
         self.record(false, ctx);

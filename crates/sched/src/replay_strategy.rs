@@ -3,39 +3,32 @@
 //! [`ReplayStrategy`] takes the event log a
 //! [`RecordingStrategy`](crate::RecordingStrategy) captured for one granule
 //! and gates every matching access until all earlier events in the log have
-//! fired — a condition-gated total order on the racy address, with no
-//! timing dependence. Writers additionally *hold* after a store while the
-//! recorded schedule says other threads' loads observe the not-yet-flushed
-//! value (the event-gated analog of the Fig. 6 `writerWaiting` stall).
+//! run — a condition-gated total order on the racy address, with no timing
+//! dependence: a slot completes in the `after_load`, `after_store` or
+//! `on_cas_fail` of its access. Writers additionally *hold* after a store
+//! while the recorded schedule says other threads' loads observe the
+//! not-yet-flushed value (the event-gated analog of Fig. 6's
+//! `writerWaiting` stall).
 //!
 //! When the target's control flow shifts (different build, minimized seed,
-//! drifted layout) the recorded schedule may become unsatisfiable: the
-//! thread owning the cursor's slot finishes, or waits at a later slot
-//! itself. The turnstile tracks which driver threads are parked at its
-//! gates and which have finished; once every live driver thread is parked
-//! on a slot past the cursor, nothing can move the cursor again (the
-//! Fig. 6 "all live threads block" condition). Instead of hanging, the
-//! earliest-parked waiter then declares *divergence*: gating is abandoned,
-//! the campaign runs to completion ungated, and the divergence is reported
-//! so the caller can distinguish "bug gone" from "schedule did not apply".
-//! The other waiters leave once the declaring thread has made its next
-//! call into the strategy, so the access it waited for lands first — a
-//! recorded reader loads before a holding writer flushes.
-//!
-//! No wall clock is involved. A thread spinning on a lock is not parked
-//! (a spin on a leaked lock is the runtime's all-waiting rule's to judge),
-//! and neither is one blocked outside the runtime, e.g. on a volatile
-//! mutex a parked thread holds; the campaign deadline ends that case.
+//! drifted layout) the recorded schedule may become unsatisfiable. Once
+//! every live driver thread is parked on a slot past the cursor (the Fig. 6
+//! "all live threads block" condition), the turnstile names the waiter the
+//! recorded order runs first, and it declares *divergence* instead of
+//! hanging: gating is abandoned and the campaign runs on ungated. The other
+//! waiters leave once the declarer has made its next call into the
+//! strategy, so a recorded reader loads before a holding writer flushes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use pmrace_pmem::ThreadId;
 use pmrace_runtime::site_label;
 use pmrace_runtime::strategy::{AccessCtx, InterleaveStrategy};
+
+use crate::turnstile::Turnstile;
 
 /// One schedule constraint: the occurrence of a (kind, site label, thread)
 /// triple at a fixed slot of the recorded order. Labels, not site ids —
@@ -55,20 +48,6 @@ type EventKey = (bool, String, u32);
 /// `declarer` value naming no thread.
 const NO_THREAD: u32 = u32::MAX;
 
-/// Where a driver thread is, for the deadlock check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ThreadState {
-    Running,
-    /// Waiting at a gate or a writer's hold for the cursor to reach
-    /// `needs`; `arrival` orders the waiters.
-    Parked {
-        needs: usize,
-        arrival: u64,
-    },
-    /// `thread_done` ran.
-    Done,
-}
-
 /// Enforces a recorded per-address access order, condition-gated.
 #[derive(Debug)]
 pub struct ReplayStrategy {
@@ -77,20 +56,18 @@ pub struct ReplayStrategy {
     /// Slot indices per (kind, label, tid) triple, in recorded order: the
     /// k-th arriving occurrence of a triple must run at `positions[k]`.
     positions: HashMap<EventKey, Vec<usize>>,
-    /// For each store slot, the last following slot that is a load by a
-    /// *different* thread: the writer holds its flush until the cursor
-    /// passes it, so those loads deterministically observe non-persisted
-    /// data. `None` when no such window follows.
+    /// For each store slot, the last slot of the run of other threads'
+    /// loads right after it: the writer holds its flush until the cursor
+    /// passes it, so those loads observe non-persisted data.
     hold_until: Vec<Option<usize>>,
-    /// Slot granted last per thread (consumed by `after_store` holds).
-    pending_hold: Mutex<HashMap<u32, usize>>,
+    /// Slot granted per thread whose access has not run yet: its
+    /// `after_load`, `after_store` or `on_cas_fail` completes the slot.
+    granted: Mutex<HashMap<u32, usize>>,
     /// Occurrences of each triple seen so far this campaign.
     seen: Mutex<HashMap<EventKey, usize>>,
-    /// Per driver thread, indexed by thread id.
-    threads: Mutex<Vec<ThreadState>>,
-    /// Parks so far, numbering each park's arrival.
-    arrivals: AtomicU64,
-    /// Before divergence: the earliest-parked waiter once every live
+    /// Waiters at gates and holds park here for the slot they need.
+    turnstile: Turnstile,
+    /// Before divergence: the waiter the turnstile names once every live
     /// driver thread is parked past the cursor; it declares the
     /// divergence. After: that thread until its next call into the
     /// strategy; the other waiters leave once this reads [`NO_THREAD`].
@@ -99,7 +76,6 @@ pub struct ReplayStrategy {
     cursor: AtomicUsize,
     diverged: AtomicBool,
     divergence: Mutex<Option<String>>,
-    poll: Duration,
 }
 
 impl ReplayStrategy {
@@ -108,55 +84,27 @@ impl ReplayStrategy {
     #[must_use]
     pub fn new(off: u64, events: Vec<ReplayEvent>, threads: usize) -> Self {
         let mut positions: HashMap<EventKey, Vec<usize>> = HashMap::new();
+        let mut hold_until = Vec::with_capacity(events.len());
         for (i, e) in events.iter().enumerate() {
-            positions
-                .entry((e.is_load, e.label.clone(), e.tid))
-                .or_default()
-                .push(i);
-        }
-        let mut hold_until = vec![None; events.len()];
-        for (i, e) in events.iter().enumerate() {
-            if e.is_load {
-                continue;
-            }
-            // Walk the run of other-thread loads directly after this store.
-            let mut last = None;
-            for (j, f) in events.iter().enumerate().skip(i + 1) {
-                if f.is_load && f.tid != e.tid {
-                    last = Some(j);
-                } else {
-                    break;
-                }
-            }
-            hold_until[i] = last;
+            let key = (e.is_load, e.label.clone(), e.tid);
+            positions.entry(key).or_default().push(i);
+            let other = |f: &&ReplayEvent| f.is_load && f.tid != e.tid;
+            let loads = events[i + 1..].iter().take_while(other).count();
+            hold_until.push((!e.is_load && loads > 0).then_some(i + loads));
         }
         ReplayStrategy {
             granule: off / 8,
             events,
             positions,
             hold_until,
-            pending_hold: Mutex::new(HashMap::new()),
+            granted: Mutex::new(HashMap::new()),
             seen: Mutex::new(HashMap::new()),
-            threads: Mutex::new(vec![ThreadState::Running; threads]),
-            arrivals: AtomicU64::new(0),
+            turnstile: Turnstile::new(threads),
             declarer: AtomicU32::new(NO_THREAD),
             cursor: AtomicUsize::new(0),
             diverged: AtomicBool::new(false),
             divergence: Mutex::new(None),
-            poll: Duration::from_micros(50),
         }
-    }
-
-    /// Slots granted so far (== schedule length after a full replay).
-    #[must_use]
-    pub fn granted(&self) -> usize {
-        self.cursor.load(Ordering::Acquire)
-    }
-
-    /// Number of slots in the schedule.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.events.len()
     }
 
     /// The divergence report, if gating was abandoned.
@@ -165,104 +113,52 @@ impl ReplayStrategy {
         self.divergence.lock().clone()
     }
 
-    /// After divergence, a call into the strategy by the declaring thread
-    /// means the access it waited for is done: release the other waiters.
-    fn progressed(&self, tid: ThreadId) {
+    /// `true` once gating is abandoned. From then on, a call into the
+    /// strategy by the declaring thread means the access it waited for is
+    /// done: it releases the other waiters.
+    fn ungated(&self, tid: ThreadId) -> bool {
+        if !self.diverged.load(Ordering::Acquire) {
+            return false;
+        }
         if self.declarer.load(Ordering::Relaxed) == tid.0 {
             self.declarer.store(NO_THREAD, Ordering::Release);
+            self.turnstile.unpark(usize::MAX);
         }
-    }
-
-    /// Name the earliest-parked waiter as declarer when every live driver
-    /// thread is parked on a cursor value not yet reached. Runs under the
-    /// thread-state lock on every park and `thread_done`, the only events
-    /// that can complete the condition. A thread leaves the parked set
-    /// before it advances the cursor, so a grant in flight always shows as
-    /// a running thread here.
-    fn check_deadlock(&self, threads: &[ThreadState]) {
-        if self.diverged.load(Ordering::Acquire) {
-            return;
-        }
-        let cursor = self.cursor.load(Ordering::Acquire);
-        let mut earliest: Option<(u64, usize)> = None;
-        for (t, &state) in threads.iter().enumerate() {
-            match state {
-                ThreadState::Parked { needs, arrival } if needs > cursor => {
-                    if earliest.is_none_or(|(a, _)| arrival < a) {
-                        earliest = Some((arrival, t));
-                    }
-                }
-                ThreadState::Done => {}
-                // Running, or about to leave its wait.
-                _ => return,
-            }
-        }
-        if let Some((_, t)) = earliest {
-            self.declarer.store(t as u32, Ordering::Release);
-        }
-    }
-
-    /// Record `tid`'s new state; unless it runs, re-check for a deadlock.
-    fn set_state(&self, tid: ThreadId, state: ThreadState) {
-        let mut threads = self.threads.lock();
-        let Some(slot) = threads.get_mut(tid.0 as usize) else {
-            return; // not a driver thread of this campaign
-        };
-        *slot = state;
-        if state != ThreadState::Running {
-            self.check_deadlock(&threads);
-        }
+        true
     }
 
     /// Wait until `cursor` reaches `target`; `true` on success, `false`
     /// when cancelled or diverged (gates are open from then on).
     fn await_cursor(&self, target: usize, ctx: &AccessCtx<'_>, why: &str) -> bool {
-        if self.cursor.load(Ordering::Acquire) >= target {
-            return true;
-        }
-        let arrival = self.arrivals.fetch_add(1, Ordering::Relaxed);
-        self.set_state(
-            ctx.tid,
-            ThreadState::Parked {
-                needs: target,
-                arrival,
-            },
-        );
         let me = ctx.tid.0;
-        let granted = loop {
+        let until = || {
             if self.cursor.load(Ordering::Acquire) >= target {
-                break true;
+                return Some(true);
             }
             // `diverged` first: once it reads true, `declarer` reads the
             // declaring thread or its release, never the value before.
             let diverged = self.diverged.load(Ordering::Acquire);
             let declarer = self.declarer.load(Ordering::Acquire);
             if diverged {
-                if declarer == NO_THREAD || declarer == me {
-                    break false;
-                }
-            } else if declarer == me {
+                return (declarer == NO_THREAD || declarer == me).then_some(false);
+            }
+            if declarer == me {
                 self.declare(ctx, why);
-                break false;
+                return Some(false);
             }
-            if (ctx.cancelled)() {
-                break false;
-            }
-            std::thread::sleep(self.poll);
+            self.turnstile.stalled(&self.cursor, &self.declarer);
+            None
         };
-        self.set_state(ctx.tid, ThreadState::Running);
-        granted
+        self.turnstile
+            .park(me, target, ctx.cancelled, until)
+            .unwrap_or(false)
     }
 
     fn declare(&self, ctx: &AccessCtx<'_>, why: &str) {
         let cur = self.cursor.load(Ordering::Acquire);
         let expected = self.events.get(cur).map_or("<end>".to_owned(), |e| {
-            format!(
-                "{} {} by t{}",
-                if e.is_load { "load" } else { "store" },
-                e.label,
-                e.tid
-            )
+            let kind = if e.is_load { "load" } else { "store" };
+            format!("{kind} {} by t{}", e.label, e.tid)
         });
         self.divergence.lock().get_or_insert(format!(
             "all live driver threads parked, {why}: cursor stuck at slot {cur}/{} \
@@ -275,37 +171,35 @@ impl ReplayStrategy {
     }
 
     fn gate(&self, is_load: bool, ctx: &AccessCtx<'_>) {
-        if self.diverged.load(Ordering::Acquire) {
-            self.progressed(ctx.tid);
+        if self.ungated(ctx.tid) || ctx.off / 8 != self.granule {
             return;
         }
-        if ctx.off / 8 != self.granule {
-            return;
-        }
-        let label = site_label(ctx.site);
-        let key: EventKey = (is_load, label.to_owned(), ctx.tid.0);
-        let slot = {
-            let Some(slots) = self.positions.get(&key) else {
-                return; // unconstrained access (not part of the schedule)
-            };
-            let mut seen = self.seen.lock();
-            let k = seen.entry(key.clone()).or_insert(0);
-            let idx = *k;
-            *k += 1;
-            match slots.get(idx) {
-                Some(&slot) => slot,
-                None => return, // beyond the recorded window: unconstrained
-            }
+        let key: EventKey = (is_load, site_label(ctx.site).to_owned(), ctx.tid.0);
+        let Some(slots) = self.positions.get(&key) else {
+            return; // unconstrained access (not part of the schedule)
         };
+        let mut seen = self.seen.lock();
+        let k = seen.entry(key).or_insert(0);
+        *k += 1;
+        let Some(&slot) = slots.get(*k - 1) else {
+            return; // beyond the recorded window: unconstrained
+        };
+        drop(seen);
         if self.await_cursor(slot, ctx, "waiting for slot") {
-            // Our slot: grant it and advance the order.
-            self.cursor.store(slot + 1, Ordering::Release);
-            if !is_load {
-                if let Some(until) = self.hold_until[slot] {
-                    self.pending_hold.lock().insert(ctx.tid.0, until);
-                }
-            }
+            self.granted.lock().insert(ctx.tid.0, slot);
         }
+    }
+
+    /// `ctx.tid`'s granted access ran: advance the order past its slot and
+    /// wake the waiters that needs. Returns the slot.
+    fn complete(&self, ctx: &AccessCtx<'_>) -> Option<usize> {
+        if self.ungated(ctx.tid) || ctx.off / 8 != self.granule {
+            return None;
+        }
+        let slot = self.granted.lock().remove(&ctx.tid.0)?;
+        self.cursor.store(slot + 1, Ordering::Release);
+        self.turnstile.unpark(slot + 1);
+        Some(slot)
     }
 }
 
@@ -322,33 +216,30 @@ impl InterleaveStrategy for ReplayStrategy {
         self.gate(false, ctx);
     }
 
+    fn after_load(&self, ctx: &AccessCtx<'_>) {
+        self.complete(ctx);
+    }
+
     fn after_store(&self, ctx: &AccessCtx<'_>) {
-        if self.diverged.load(Ordering::Acquire) {
-            self.progressed(ctx.tid);
-            return;
-        }
-        if ctx.off / 8 != self.granule {
-            return;
-        }
-        let Some(until) = self.pending_hold.lock().remove(&ctx.tid.0) else {
-            return;
-        };
         // Hold the flush until the recorded racy reads went through.
-        let _ = self.await_cursor(until + 1, ctx, "holding flush for readers");
+        if let Some(until) = self.complete(ctx).and_then(|slot| self.hold_until[slot]) {
+            self.await_cursor(until + 1, ctx, "holding flush for readers");
+        }
+    }
+
+    fn on_cas_fail(&self, ctx: &AccessCtx<'_>, _: u32) {
+        self.complete(ctx);
     }
 
     fn on_spin(&self, tid: ThreadId) {
-        if self.diverged.load(Ordering::Relaxed) {
-            self.progressed(tid);
-        }
+        self.ungated(tid);
     }
 
     fn thread_done(&self, tid: ThreadId) {
-        if self.diverged.load(Ordering::Acquire) {
-            self.progressed(tid);
-            return;
+        if !self.ungated(tid) {
+            self.turnstile.done(tid.0);
+            self.turnstile.stalled(&self.cursor, &self.declarer);
         }
-        self.set_state(tid, ThreadState::Done);
     }
 }
 
@@ -356,23 +247,16 @@ impl InterleaveStrategy for ReplayStrategy {
 mod tests {
     use super::*;
     use pmrace_runtime::site;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     impl ReplayStrategy {
         fn is_parked(&self, tid: u32) -> bool {
-            matches!(
-                self.threads.lock()[tid as usize],
-                ThreadState::Parked { .. }
-            )
+            self.turnstile.is_parked(tid)
         }
 
-        /// Yield until driver thread `tid`, running on `thread`, is parked
-        /// at a gate or hold; fail if the thread ended instead.
         fn until_parked<T>(&self, tid: u32, thread: &std::thread::JoinHandle<T>) {
-            while !self.is_parked(tid) {
-                assert!(!thread.is_finished(), "t{tid} never parked");
-                std::thread::yield_now();
-            }
+            self.turnstile.until_parked(tid, thread);
         }
     }
 
@@ -414,14 +298,22 @@ mod tests {
         let (strat2, word2) = (Arc::clone(&strat), Arc::clone(&word));
         let reader = std::thread::spawn(move || {
             strat2.before_load(&ctx(64, l, 1, NEVER));
-            word2.load(Ordering::SeqCst)
+            let seen = word2.load(Ordering::SeqCst);
+            strat2.after_load(&ctx(64, l, 1, NEVER));
+            seen
         });
         strat.until_parked(1, &reader);
         strat.before_store(&ctx(64, s, 0, NEVER));
+        // Slot 0 is granted, but its store has not run: the reader waits.
+        assert!(strat.is_parked(1), "the reader left before the store ran");
         word.store(7, Ordering::SeqCst);
         // The writer's flush is held until the reader's slot fired.
         strat.after_store(&ctx(64, s, 0, NEVER));
-        assert_eq!(strat.granted(), 2, "the hold outlasts the reader's slot");
+        assert_eq!(
+            strat.cursor.load(Ordering::SeqCst),
+            2,
+            "the hold outlasts the reader's slot"
+        );
         assert_eq!(reader.join().unwrap(), 7, "reader ran before the store");
         assert!(strat.divergence().is_none());
     }
@@ -432,7 +324,7 @@ mod tests {
         let strat = ReplayStrategy::new(64, vec![ev(false, "some-store", 0)], 1);
         strat.before_load(&ctx(64, l, 0, NEVER)); // label not in schedule
         strat.before_load(&ctx(4096, l, 0, NEVER)); // other granule
-        assert_eq!(strat.granted(), 0);
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 0);
         assert!(!strat.is_parked(0));
         assert!(strat.divergence().is_none());
     }
@@ -452,7 +344,7 @@ mod tests {
         assert!(why.contains("t1 at rp-div-load"), "{why}");
         // After divergence, every gate is open.
         strat.before_load(&ctx(64, l, 1, NEVER));
-        assert_eq!(strat.granted(), 0);
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 0);
 
         // The owner finishes while the waiter is parked.
         let strat = Arc::new(ReplayStrategy::new(64, schedule, 2));
@@ -468,10 +360,11 @@ mod tests {
     }
 
     #[test]
-    fn earliest_parked_reader_leaves_before_a_holding_writer() {
+    fn the_lowest_slot_reader_leaves_before_a_holding_writer() {
         let (r, w) = (site!("rp-ord-read"), site!("rp-ord-write"));
         // t1 stores at slot 0 and holds its flush until the loads at slots
-        // 1 (t2's, which never comes) and 2 (t0's) went through.
+        // 1 (t2's, which never comes) and 2 (t0's) went through. The writer
+        // parks first, yet the reader, needing the lower slot, declares.
         let strat = Arc::new(ReplayStrategy::new(
             64,
             vec![
@@ -483,6 +376,15 @@ mod tests {
         ));
         let order = Arc::new(AtomicU64::new(0));
         strat.thread_done(ThreadId(2));
+        let (strat1, order1) = (Arc::clone(&strat), Arc::clone(&order));
+        let writer = std::thread::spawn(move || {
+            strat1.before_store(&ctx(64, w, 1, NEVER));
+            strat1.after_store(&ctx(64, w, 1, NEVER));
+            let seq = order1.fetch_add(1, Ordering::SeqCst);
+            strat1.thread_done(ThreadId(1));
+            seq
+        });
+        strat.until_parked(1, &writer);
         let (strat0, order0) = (Arc::clone(&strat), Arc::clone(&order));
         let reader = std::thread::spawn(move || {
             strat0.before_load(&ctx(64, r, 0, NEVER));
@@ -496,22 +398,14 @@ mod tests {
                 std::thread::yield_now();
             }
             let writer_held = strat0.is_parked(1);
+            strat0.after_load(&ctx(64, r, 0, NEVER));
             strat0.thread_done(ThreadId(0));
             (seq, writer_held)
-        });
-        strat.until_parked(0, &reader);
-        let (strat1, order1) = (Arc::clone(&strat), Arc::clone(&order));
-        let writer = std::thread::spawn(move || {
-            strat1.before_store(&ctx(64, w, 1, NEVER));
-            strat1.after_store(&ctx(64, w, 1, NEVER));
-            let seq = order1.fetch_add(1, Ordering::SeqCst);
-            strat1.thread_done(ThreadId(1));
-            seq
         });
         let (read_seq, writer_held) = reader.join().unwrap();
         assert!(writer_held, "the writer left before the reader's next call");
         let released = strat.declarer.load(Ordering::SeqCst) == NO_THREAD;
-        assert!(released, "the reader's thread_done must release the writer");
+        assert!(released, "the reader's after_load must release the writer");
         let write_seq = writer.join().unwrap();
         assert!(
             read_seq < write_seq,
@@ -531,7 +425,10 @@ mod tests {
             2,
         ));
         let strat2 = Arc::clone(&strat);
-        let waiter = std::thread::spawn(move || strat2.before_load(&ctx(64, l, 1, NEVER)));
+        let waiter = std::thread::spawn(move || {
+            strat2.before_load(&ctx(64, l, 1, NEVER));
+            strat2.after_load(&ctx(64, l, 1, NEVER));
+        });
         strat.until_parked(1, &waiter);
         // t0 runs, then spins on a lock: never parked, so no declarer.
         for _ in 0..100 {
@@ -542,8 +439,9 @@ mod tests {
         assert!(strat.divergence().is_none());
         // Its store releases the waiter in order.
         strat.before_store(&ctx(64, s, 0, NEVER));
+        strat.after_store(&ctx(64, s, 0, NEVER));
         waiter.join().unwrap();
-        assert_eq!(strat.granted(), 2);
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 2);
         assert!(strat.divergence().is_none());
     }
 
@@ -560,7 +458,7 @@ mod tests {
         );
         let cancelled = || true;
         strat.before_load(&ctx(64, l, 1, &cancelled));
-        assert_eq!(strat.granted(), 0);
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 0);
         assert!(!strat.is_parked(1));
         assert!(strat.divergence().is_none());
     }
@@ -570,8 +468,28 @@ mod tests {
         let l = site!("rp-win-load");
         let strat = ReplayStrategy::new(64, vec![ev(true, "rp-win-load", 0)], 1);
         strat.before_load(&ctx(64, l, 0, NEVER)); // slot 0
+        assert_eq!(
+            strat.cursor.load(Ordering::SeqCst),
+            0,
+            "the load has not run"
+        );
+        strat.after_load(&ctx(64, l, 0, NEVER));
         strat.before_load(&ctx(64, l, 0, NEVER)); // beyond the window
-        assert_eq!(strat.granted(), 1);
+        strat.after_load(&ctx(64, l, 0, NEVER));
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 1);
         assert!(strat.divergence().is_none());
+    }
+
+    #[test]
+    fn a_failed_cas_completes_its_store_slot() {
+        let (c, l) = (site!("rp-cas"), site!("rp-cas-load"));
+        let schedule = vec![ev(false, "rp-cas", 0), ev(true, "rp-cas-load", 0)];
+        let strat = ReplayStrategy::new(64, schedule, 1);
+        strat.before_store(&ctx(64, c, 0, NEVER));
+        strat.on_cas_fail(&ctx(64, c, 0, NEVER), 1);
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 1);
+        strat.before_load(&ctx(64, l, 0, NEVER));
+        strat.after_load(&ctx(64, l, 0, NEVER));
+        assert_eq!(strat.cursor.load(Ordering::SeqCst), 2);
     }
 }

@@ -8,11 +8,12 @@
 //! one run explores exactly one deterministic-ish schedule — at the price
 //! of serializing all PM parallelism.
 
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-use parking_lot::Mutex;
 use pmrace_pmem::ThreadId;
 use pmrace_runtime::strategy::{AccessCtx, InterleaveStrategy};
+
+use crate::turnstile::Turnstile;
 
 /// Round-robin serialization of PM accesses across driver threads.
 #[derive(Debug)]
@@ -23,9 +24,11 @@ pub struct SystematicStrategy {
     /// Accesses the holder may perform before the token rotates.
     quantum: u32,
     used: AtomicU32,
-    /// Threads that already finished (their turns are skipped).
-    done: Mutex<Vec<bool>>,
-    accesses: AtomicUsize,
+    /// Threads without the token park here.
+    turnstile: Turnstile,
+    /// Driver thread of every granted access, in grant order.
+    #[cfg(test)]
+    granted: parking_lot::Mutex<Vec<u32>>,
 }
 
 impl SystematicStrategy {
@@ -40,55 +43,32 @@ impl SystematicStrategy {
             token: AtomicU32::new(start % n),
             quantum: quantum.max(1),
             used: AtomicU32::new(0),
-            done: Mutex::new(vec![false; n as usize]),
-            accesses: AtomicUsize::new(0),
+            turnstile: Turnstile::new(n as usize),
+            #[cfg(test)]
+            granted: parking_lot::Mutex::new(Vec::new()),
         }
-    }
-
-    /// Total PM accesses serialized (telemetry).
-    #[must_use]
-    pub fn accesses(&self) -> usize {
-        self.accesses.load(Ordering::Relaxed)
     }
 
     fn rotate_from(&self, cur: u32) {
-        let done = self.done.lock();
-        let mut next = (cur + 1) % self.num_threads;
-        for _ in 0..self.num_threads {
-            if !done[next as usize] {
-                break;
-            }
-            next = (next + 1) % self.num_threads;
-        }
-        self.used.store(0, Ordering::Relaxed);
-        self.token.store(next, Ordering::Release);
+        self.turnstile.pass(cur, |next| {
+            self.used.store(0, Ordering::Relaxed);
+            self.token.store(next, Ordering::Release);
+        });
     }
 
     fn wait_turn(&self, ctx: &AccessCtx<'_>) {
-        if ctx.tid.0 >= self.num_threads {
+        let me = ctx.tid.0;
+        if me >= self.num_threads {
             return; // non-driver thread (e.g. recovery): unscheduled
         }
-        self.accesses.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let holder = self.token.load(Ordering::Acquire);
-            if holder == ctx.tid.0 {
-                if self.used.fetch_add(1, Ordering::AcqRel) + 1 >= self.quantum {
-                    self.rotate_from(holder);
-                }
-                return;
-            }
-            if (ctx.cancelled)() {
-                return;
-            }
-            // Holder may be blocked outside PM accesses (e.g. on a mutex
-            // held by us): bounded spin keeps the serialization best-effort
-            // rather than deadlock-prone.
-            if self.done.lock()[holder as usize] {
-                self.rotate_from(holder);
-                continue;
-            }
-            std::thread::yield_now();
-            std::thread::sleep(std::time::Duration::from_micros(20));
+        let holds = || (self.token.load(Ordering::Acquire) == me).then_some(());
+        if self.turnstile.park(me, 0, ctx.cancelled, holds).is_none() {
+            return; // cancelled
+        }
+        #[cfg(test)]
+        self.granted.lock().push(me);
+        if self.used.fetch_add(1, Ordering::AcqRel) + 1 >= self.quantum {
+            self.rotate_from(me);
         }
     }
 }
@@ -116,12 +96,10 @@ impl InterleaveStrategy for SystematicStrategy {
     }
 
     fn thread_done(&self, tid: ThreadId) {
-        if (tid.0 as usize) < self.num_threads as usize {
-            self.done.lock()[tid.0 as usize] = true;
-            // Free the token if the finishing thread held it.
-            if self.token.load(Ordering::Acquire) == tid.0 {
-                self.rotate_from(tid.0);
-            }
+        self.turnstile.done(tid.0);
+        // Free the token if the finishing thread held it.
+        if self.token.load(Ordering::Acquire) == tid.0 {
+            self.rotate_from(tid.0);
         }
     }
 }
@@ -131,7 +109,6 @@ mod tests {
     use super::*;
     use pmrace_runtime::site;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     fn ctx<'a>(tid: u32, cancelled: &'a dyn Fn() -> bool) -> AccessCtx<'a> {
         AccessCtx {
@@ -143,34 +120,36 @@ mod tests {
         }
     }
 
+    const NEVER: &dyn Fn() -> bool = &|| false;
+
+    fn holder(s: &SystematicStrategy) -> u32 {
+        s.token.load(Ordering::Acquire)
+    }
+
     #[test]
     fn token_holder_passes_after_quantum() {
         let s = SystematicStrategy::new(2, 2, 0);
-        let cancelled = || false;
         // Thread 0 holds the token for 2 accesses, then thread 1 runs.
-        s.before_load(&ctx(0, &cancelled));
-        s.before_store(&ctx(0, &cancelled));
-        let start = Instant::now();
-        s.before_load(&ctx(1, &cancelled)); // token rotated to 1: immediate
-        assert!(start.elapsed() < Duration::from_millis(50));
-        assert_eq!(s.accesses(), 3);
+        s.before_load(&ctx(0, NEVER));
+        assert_eq!(holder(&s), 0, "one access left in t0's quantum");
+        s.before_store(&ctx(0, NEVER));
+        assert_eq!(holder(&s), 1, "the quantum is used up");
+        s.before_load(&ctx(1, NEVER)); // t1 holds the token: no park
+        assert!(!s.turnstile.is_parked(1));
+        assert_eq!(*s.granted.lock(), [0, 0, 1]);
     }
 
     #[test]
     fn waiting_thread_proceeds_once_holder_finishes() {
         let s = Arc::new(SystematicStrategy::new(2, 8, 0));
         let s2 = Arc::clone(&s);
-        let waiter = std::thread::spawn(move || {
-            let cancelled = || false;
-            let start = Instant::now();
-            s2.before_load(&ctx(1, &cancelled)); // thread 0 holds the token
-            start.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(20));
+        let waiter = std::thread::spawn(move || s2.before_load(&ctx(1, NEVER)));
+        s.turnstile.until_parked(1, &waiter); // thread 0 holds the token
+        assert!(s.granted.lock().is_empty());
         s.thread_done(ThreadId(0));
-        let waited = waiter.join().unwrap();
-        assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
-        assert!(waited < Duration::from_secs(2));
+        waiter.join().unwrap();
+        assert_eq!(holder(&s), 1, "the finished holder freed the token");
+        assert_eq!(*s.granted.lock(), [1]);
     }
 
     #[test]
@@ -181,13 +160,11 @@ mod tests {
         // neither ever moves.
         let s = Arc::new(SystematicStrategy::new(2, 1000, 0));
         let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let cancelled = || false;
-        s.before_load(&ctx(0, &cancelled));
+        s.before_load(&ctx(0, NEVER));
         let setter = {
             let (s, flag) = (Arc::clone(&s), Arc::clone(&flag));
             std::thread::spawn(move || {
-                let cancelled = || false;
-                s.before_store(&ctx(1, &cancelled));
+                s.before_store(&ctx(1, NEVER));
                 flag.store(true, Ordering::Release);
             })
         };
@@ -196,25 +173,63 @@ mod tests {
             std::thread::yield_now();
         }
         setter.join().unwrap();
-        assert_eq!(s.token.load(Ordering::Acquire), 1, "the token moved to t1");
+        assert_eq!(holder(&s), 1, "the token moved to t1");
     }
 
     #[test]
     fn cancellation_breaks_the_wait() {
         let s = SystematicStrategy::new(4, 1, 0);
         let cancelled = || true;
-        let start = Instant::now();
         s.before_load(&ctx(3, &cancelled)); // not the holder, but cancelled
-        assert!(start.elapsed() < Duration::from_millis(50));
+        assert!(!s.turnstile.is_parked(3), "t3 left the turnstile");
+        assert!(s.granted.lock().is_empty(), "a cancelled wait is no grant");
+        assert_eq!(holder(&s), 0);
     }
 
     #[test]
     fn non_driver_threads_are_not_scheduled() {
         let s = SystematicStrategy::new(2, 1, 0);
-        let cancelled = || false;
-        let start = Instant::now();
-        s.before_load(&ctx(7, &cancelled)); // tid beyond num_threads
-        assert!(start.elapsed() < Duration::from_millis(10));
-        assert_eq!(s.accesses(), 0);
+        s.before_load(&ctx(7, NEVER)); // tid beyond num_threads
+        assert!(s.granted.lock().is_empty());
+        assert_eq!(holder(&s), 0);
+    }
+
+    /// Three driver threads, quantum 2, `start` 1, t0 finishing after 3
+    /// accesses: the grant order is the round-robin rotation, skipping a
+    /// finished thread and handing its token on when it finishes.
+    #[test]
+    fn grants_follow_the_reference_rotation() {
+        fn reference(quantum: usize, start: usize, mut left: Vec<usize>) -> Vec<u32> {
+            let (n, mut t, mut used, mut order) = (left.len(), start, 0, Vec::new());
+            while left.iter().any(|&l| l > 0) {
+                if left[t] > 0 {
+                    order.push(t as u32);
+                    left[t] -= 1;
+                    used += 1;
+                }
+                if used == quantum || left[t] == 0 {
+                    (t, used) = ((t + 1) % n, 0);
+                }
+            }
+            order
+        }
+        let ops = [3, 6, 5];
+        let s = Arc::new(SystematicStrategy::new(3, 2, 1));
+        let threads: Vec<_> = (0..3u32)
+            .map(|tid| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for _ in 0..ops[tid as usize] {
+                        s.before_load(&ctx(tid, NEVER));
+                    }
+                    s.thread_done(ThreadId(tid));
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let want = reference(2, 1, ops.to_vec());
+        assert_eq!(*s.granted.lock(), want);
     }
 }

@@ -52,9 +52,12 @@ fn checked_in_corpus_covers_table2_and_the_lockfree_suite() {
 /// Two of the three strict artifacts outlive their recorded schedule: the
 /// owner of the cursor's slot (t1) finishes while every other driver
 /// thread waits at a later slot. Their replays must diverge where every
-/// live thread is parked, naming the earliest-parked waiter (t0), and
-/// still re-trigger on the ungated rest of the campaign. Checked on the
-/// corpus replay below rather than by a second replay running beside it.
+/// live thread is parked, naming the waiter that needs the lowest slot,
+/// and still re-trigger on the ungated rest of the campaign. On FAST-FAIR
+/// that is t0's load at slot 34 (t2 has no operations; t3 holds its slot-31
+/// store through slot 34). On P-CLHT it is t2's load at slot 43, ahead of
+/// t0, which holds its slot-33 swap through slot 46. Checked on the corpus
+/// replay below rather than by a second replay running beside it.
 const STRICT_DIVERGENCES: [(&str, &str); 2] = [
     (
         "Inter:btree.h:560.store_sibling:",
@@ -64,7 +67,7 @@ const STRICT_DIVERGENCES: [(&str, &str); 2] = [
     (
         "Inter:clht_lb_res.c:785.swap_ht_off:",
         "cursor stuck at slot 35/106 (next expected: load clht_lb_res.c:417.read_ht_off by t1); \
-         t0 at clht_lb_res.c:785.swap_ht_off",
+         t2 at clht_lb_res.c:417.read_ht_off",
     ),
 ];
 
